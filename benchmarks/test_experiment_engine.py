@@ -34,8 +34,9 @@ its scale — the gates are defined on these workloads, so
 - ``test_fs_fused_checkpoint_drain`` — a fig4-style 8-point anytime
   sweep (10^5 FS steps per replicate, degree-PMF + average-degree
   accumulators) run through the engine's fused
-  ``advance_into`` path vs the same plan forced onto the
-  ``take_trace()``/``update()`` drain path with ``REPRO_NO_FUSED=1``.
+  ``advance_into`` path vs the same plan with a drain-only twin of the
+  accumulator (``fused_needs()`` returns ``None``), which puts
+  ``advance_into`` on the ``take_trace()``/``update()`` drain path.
   The fused path never materializes the O(steps) trace increments —
   its per-checkpoint scratch is the O(max_degree) count block — and
   must be >= 2x faster with native kernels; the rows must match the
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -316,6 +318,14 @@ class _DegreeBundle:
         return self
 
 
+class _DrainOnlyBundle(_DegreeBundle):
+    """The same bundle declining fused blocks: ``advance_into`` then
+    drains every checkpoint's trace increment into ``update``."""
+
+    def fused_needs(self):
+        return None
+
+
 def test_fs_fused_checkpoint_drain(benchmark, ba_graph, results_dir):
     """Fused advance_into vs the take_trace()/update() drain path."""
     checkpoints = [
@@ -349,13 +359,12 @@ def test_fs_fused_checkpoint_drain(benchmark, ba_graph, results_dir):
     )
     fused_seconds = time.perf_counter() - started
 
-    os.environ["REPRO_NO_FUSED"] = "1"
-    try:
-        started = time.perf_counter()
-        drained = run_plan(plan, replicates=FUSED_REPLICATES)
-        drained_seconds = time.perf_counter() - started
-    finally:
-        del os.environ["REPRO_NO_FUSED"]
+    drain_plan = replace(
+        plan, accumulator=lambda method: _DrainOnlyBundle(ba_graph)
+    )
+    started = time.perf_counter()
+    drained = run_plan(drain_plan, replicates=FUSED_REPLICATES)
+    drained_seconds = time.perf_counter() - started
     ratio = drained_seconds / fused_seconds
 
     # Fusion is a memory/speed knob, never a statistics change: every

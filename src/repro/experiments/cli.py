@@ -37,6 +37,7 @@ from typing import Callable, Dict
 
 from repro.experiments import ablations, figures, tables
 from repro.sampling.base import use_backend
+from repro.util.atomic import atomic_write
 
 #: experiment id -> (driver, accepts_runs)
 _EXPERIMENTS: Dict[str, Callable] = {
@@ -334,12 +335,13 @@ def _sample_main(argv) -> int:
             print(f"size estimate unavailable: {error}")
 
         if args.checkpoint:
-            with open(args.checkpoint, "wb") as handle:
-                pickle.dump(
+            atomic_write(
+                args.checkpoint,
+                pickle.dumps(
                     {"session": session, "accumulators": accumulators},
-                    handle,
                     protocol=pickle.HIGHEST_PROTOCOL,
-                )
+                ),
+            )
             print(f"checkpoint written to {args.checkpoint}")
     finally:
         closer = getattr(session, "close", None)

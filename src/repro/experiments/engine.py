@@ -12,15 +12,14 @@ and snapshot hooks — and :func:`run_plan` executes it:
   ``k`` budget points walks ``budget_k`` steps total instead of
   ``sum_i budget_i`` (the pre-engine drivers re-sampled the full
   budget at every point);
-- **streaming estimation**: at every checkpoint the session's trace
-  increment is drained (``take_trace``) into the plan's accumulator —
+- **streaming estimation**: at every checkpoint the in-process loop
+  calls ``SamplerSession.advance_into`` on the plan's accumulator —
   typically one of :mod:`repro.estimators.streaming` — and the plan's
-  ``snapshot`` hook records the measurement.  When every accumulator
-  part is fuse-capable (exposes ``fused_needs()``), in-process runs
-  skip the drain entirely and use ``SamplerSession.advance_into`` —
-  the fused C kernels fold the eq. (7)/(9) sufficient statistics
-  while walking, with bit-identical rows (``REPRO_NO_FUSED=1``
-  forces the drain path everywhere);
+  ``snapshot`` hook records the measurement.  The session picks how
+  the steps arrive: when every accumulator part exposes
+  ``fused_needs()``, the csr kernels fold the eq. (7)/(9) sufficient
+  statistics while walking; otherwise the increment is drained
+  (``take_trace`` → ``update``).  Rows are bit-identical either way;
 - **multi-process fan-out**: ``run_plan(plan, replicates, procs=N)``
   ships the replicates of pool-capable samplers to a spawn-safe
   :class:`~repro.sampling.sharded.ShardedSessionPool` sharing the
@@ -83,11 +82,7 @@ from repro.sampling.base import (
     check_backend,
     use_backend,
 )
-from repro.sampling.fused import fusion_disabled, merge_needs
-from repro.sampling.session import (
-    default_session_starter,
-    drain_session_checkpoints,
-)
+from repro.sampling.session import default_session_starter
 from repro.sampling.frontier import FrontierSampler
 from repro.sampling.metropolis import MetropolisHastingsWalk, MetropolisTrace
 from repro.sampling.multiple import MultipleRandomWalk
@@ -467,35 +462,7 @@ class PlanResult:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _replicate_anytime(
-    sampler: Any,
-    graph: Any,
-    checkpoints: List[float],
-    replicates: int,
-    seed: int,
-    starter: Starter,
-    schedule: str,
-    backend: Optional[Backend],
-) -> Iterator[Tuple[List[Any], int]]:
-    """In-process anytime replication: one session per replicate,
-    drained at every checkpoint through the same
-    :func:`~repro.sampling.session.drain_session_checkpoints` loop the
-    pooled workers run.  Yields ``(increments, steps)`` rows lazily in
-    replicate order, so the consumer holds one replicate's trace at a
-    time.  The backend context wraps each replicate's session (the
-    default backend is only read at ``sampler.start``), not the
-    suspended generator frame."""
-    for index in range(replicates):
-        context = (
-            use_backend(backend) if backend is not None else nullcontext()
-        )
-        with context:
-            session = starter(sampler, graph, seed, index)
-            row = drain_session_checkpoints(session, schedule, checkpoints)
-        yield row
-
-
-def _replicate_anytime_fused(
+def _replicate_in_process(
     sampler: Any,
     graph: Any,
     checkpoints: List[float],
@@ -508,19 +475,20 @@ def _replicate_anytime_fused(
     snapshot: Callable[[str, Any, float], Any],
     method: str,
 ) -> Iterator[Tuple[List[Any], int]]:
-    """Fused anytime replication: ``advance_into`` instead of drain.
+    """In-process anytime replication: one session per replicate.
 
-    The checkpoint loop mirrors :func:`~repro.sampling.session.
-    drain_session_checkpoints` step for step (``steps`` schedules
-    advance by ``checkpoint - steps_taken``, ``budget`` schedules by
-    the checkpoint itself), but hands each checkpoint's statistics to
-    the accumulator as a fused block rather than materializing an
-    O(steps) trace increment.  Block absorption happens at the same
-    per-checkpoint boundaries the drain path updates at, so the rows
-    are bit-identical — fusion is a memory/speed knob, never a
-    statistics change.  Yields ``(snapshot_row, steps)`` in replicate
-    order.  Sessions opened by custom starters that predate
-    ``advance_into`` fall back to the drain loop per replicate.
+    At every checkpoint the session advances straight into a fresh
+    accumulator with ``advance_into`` (``steps`` schedules by
+    ``checkpoint - steps_taken``, ``budget`` schedules to the
+    checkpoint itself, exactly as
+    :func:`~repro.sampling.session.drain_session_checkpoints` steps),
+    and the snapshot is taken.  The session decides how the new steps
+    reach the accumulator — fused blocks when every part absorbs them,
+    a ``take_trace()`` drain otherwise — with bit-identical rows either
+    way.  Yields ``(snapshot_row, steps)`` in replicate order.  The
+    backend context wraps each replicate's session (the default
+    backend is only read at ``sampler.start``), not the suspended
+    generator frame.
     """
     for index in range(replicates):
         context = (
@@ -530,34 +498,21 @@ def _replicate_anytime_fused(
             session = starter(sampler, graph, seed, index)
             accumulator = accumulator_factory()
             row: List[Any] = []
-            if getattr(session, "advance_into", None) is None:
-                increments, steps = drain_session_checkpoints(
-                    session, schedule, checkpoints
-                )
-                for checkpoint, increment in zip(checkpoints, increments):
-                    accumulator.update(increment)
+            try:
+                for checkpoint in checkpoints:
+                    if schedule == "steps":
+                        session.advance_into(
+                            accumulator,
+                            steps=max(0, int(checkpoint) - session.steps_taken),
+                        )
+                    else:
+                        session.advance_into(accumulator, budget=checkpoint)
                     row.append(snapshot(method, accumulator, checkpoint))
-            else:
-                try:
-                    for checkpoint in checkpoints:
-                        if schedule == "steps":
-                            session.advance_into(
-                                accumulator,
-                                steps=max(
-                                    0,
-                                    int(checkpoint) - session.steps_taken,
-                                ),
-                            )
-                        else:
-                            session.advance_into(
-                                accumulator, budget=checkpoint
-                            )
-                        row.append(snapshot(method, accumulator, checkpoint))
-                    steps = int(session.steps_taken)
-                finally:
-                    closer = getattr(session, "close", None)
-                    if closer is not None:
-                        closer()
+                steps = int(session.steps_taken)
+            finally:
+                closer = getattr(session, "close", None)
+                if closer is not None:
+                    closer()
         yield row, steps
 
 
@@ -621,27 +576,20 @@ def run_plan(
             seed = plan.seed_for(method, method_index)
             starter = plan.starter_for(method)
             pooled = procs is not None and _pool_capable(sampler)
-            # The fused path engages only for in-process replication of
-            # plans whose every accumulator part can absorb fused
-            # blocks (probed on a throwaway accumulator); pooled runs
-            # keep the drain loop — their workers already stream
-            # increments back, and the drain path is bit-identical.
-            fused = (
-                not pooled
-                and not fusion_disabled()
-                and merge_needs((plan.accumulator_for(method),)) is not None
-            )
             run = MethodRun(
                 method=method, checkpoints=checkpoints, pooled=pooled
             )
             if pooled:
+                # Pooled workers stream each checkpoint's trace
+                # increment back; the parent folds them in replicate
+                # order.
                 if pool is None:
                     from repro.sampling.sharded import ShardedSessionPool
 
                     pool = ShardedSessionPool(
                         graph, procs=procs, executor=executor
                     )
-                raw = pool.run_anytime(
+                for increments, steps in pool.run_anytime(
                     sampler,
                     checkpoints,
                     replicates,
@@ -649,9 +597,16 @@ def run_plan(
                     schedule=plan.schedule,
                     starter=starter,
                     lazy=True,
-                )
-            elif fused:
-                for row, steps in _replicate_anytime_fused(
+                ):
+                    accumulator = plan.accumulator_for(method)
+                    row: List[Any] = []
+                    for checkpoint, increment in zip(checkpoints, increments):
+                        accumulator.update(increment)
+                        row.append(snapshot(method, accumulator, checkpoint))
+                    run.rows.append(row)
+                    run.steps_taken.append(int(steps))
+            else:
+                for row, steps in _replicate_in_process(
                     sampler,
                     graph,
                     checkpoints,
@@ -666,27 +621,6 @@ def run_plan(
                 ):
                     run.rows.append(row)
                     run.steps_taken.append(int(steps))
-                result.methods[method] = run
-                continue
-            else:
-                raw = _replicate_anytime(
-                    sampler,
-                    graph,
-                    checkpoints,
-                    replicates,
-                    seed,
-                    starter,
-                    plan.schedule,
-                    plan.backend,
-                )
-            for increments, steps in raw:
-                accumulator = plan.accumulator_for(method)
-                row: List[Any] = []
-                for checkpoint, increment in zip(checkpoints, increments):
-                    accumulator.update(increment)
-                    row.append(snapshot(method, accumulator, checkpoint))
-                run.rows.append(row)
-                run.steps_taken.append(int(steps))
             result.methods[method] = run
     finally:
         if pool is not None:

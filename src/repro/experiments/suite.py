@@ -76,6 +76,7 @@ from repro.generators.smallworld import watts_strogatz
 from repro.graph.components import largest_connected_component
 from repro.metrics.errors import nmse, nmse_curve, relative_bias
 from repro.metrics.exact import true_degree_ccdf, true_degree_pmf
+from repro.util.atomic import atomic_write
 
 __all__ = [
     "Scenario",
@@ -865,7 +866,8 @@ def run_suite(
             scenario, procs=procs, executor=executor
         )
         if checkpoint is not None:
-            checkpoint.write_text(
+            atomic_write(
+                checkpoint,
                 json.dumps(
                     {
                         "fingerprint": scenario.fingerprint(),
@@ -875,7 +877,6 @@ def run_suite(
                     sort_keys=True,
                 )
                 + "\n",
-                encoding="utf-8",
             )
         result.outcomes.append(ScenarioOutcome(scenario, scenario_result))
     return result

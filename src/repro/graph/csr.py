@@ -25,6 +25,7 @@ under a shared random stream.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -40,7 +41,7 @@ class CSRGraph:
     :class:`Graph`; convert once when the crawl/generation phase ends.
     """
 
-    __slots__ = ("indptr", "indices", "_list_cache", "mmap_stem")
+    __slots__ = ("indptr", "indices", "_list_cache", "mmap_stem", "_digest")
 
     def __init__(
         self,
@@ -85,6 +86,8 @@ class CSRGraph:
         #: processes reopen the same read-only buffers instead of
         #: pickling the arrays.
         self.mmap_stem: Optional[str] = None
+        #: Lazily computed :meth:`content_digest`.
+        self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -277,6 +280,20 @@ class CSRGraph:
         if self._list_cache is None:
             self._list_cache = (self.indptr.tolist(), self.indices.tolist())
         return self._list_cache
+
+    def content_digest(self) -> str:
+        """sha256 hex digest of ``indptr`` + ``indices``, computed once.
+
+        Two graphs share a digest exactly when they have the same rows
+        in the same neighbor order — what a resumed walk needs, and
+        what vertex and edge counts alone cannot tell apart.
+        """
+        if self._digest is None:
+            hasher = hashlib.sha256()
+            for array in (self.indptr, self.indices):
+                hasher.update(np.ascontiguousarray(array, dtype="<i8"))
+            self._digest = hasher.hexdigest()
+        return self._digest
 
     def __repr__(self) -> str:
         return (

@@ -10,6 +10,14 @@ get ``None`` and the engine falls back to the pure-Python kernels,
 which implement the identical draw protocol (traces are bit-for-bit
 the same either way — only the speed differs).
 
+One kernel per sampler (``repro_rw_steps``, ``repro_fs_steps``,
+``repro_mh_steps``), each with nullable trace and block outputs.  The
+wrappers come in pairs over the same kernel: ``rw_steps``/``fs_steps``/
+``mh_steps`` ask for the trace arrays, ``*_steps_acc`` for the
+:class:`~repro.sampling.fused.FusedBlock` counts; each passes ``None``
+(NULL) for the outputs it does not want.  Only ``fs_steps_acc`` hands
+the FS kernel its Fenwick scratch; ``fs_steps`` keeps the linear scan.
+
 Signature contract: every kernel is declared once in
 :data:`_DECLARATIONS` using the canonical type tokens of
 :mod:`repro.sampling._cproto` and verified against the ``repro_*``
@@ -68,38 +76,24 @@ _CTYPES: Dict[str, object] = {
 #: the C prototypes.
 _DECLARATIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "repro_rw_steps": (
-        "void",
-        ("i64*", "i64*", "i64", "i64", "f64*", "i64*", "i64*"),
+        "i64",
+        (
+            "i64*", "i64*", "i64", "i64", "f64*", "i64*", "i64*",
+            "i64", "i64*", "i64*", "i64*",
+        ),
     ),
     "repro_fs_steps": (
         "i64",
         (
-            "i64*", "i64*", "i64*", "i64", "i64",
-            "i64", "f64*", "i64*", "i64*", "i64*",
+            "i64*", "i64*", "i64*", "i64", "i64", "i64", "f64*",
+            "i64*", "i64*", "i64*",
+            "i64", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
     "repro_mh_steps": (
         "i64",
-        ("i64*", "i64*", "i64", "i64", "f64*", "i64*", "i64*", "i64*"),
-    ),
-    "repro_rw_steps_acc": (
-        "i64",
         (
-            "i64*", "i64*", "i64", "i64", "f64*",
-            "i64", "i64*", "i64*", "i64*",
-        ),
-    ),
-    "repro_fs_steps_acc": (
-        "i64",
-        (
-            "i64*", "i64*", "i64*", "i64", "i64", "i64",
-            "f64*", "i64", "i64*", "i64*", "i64*", "i64*",
-        ),
-    ),
-    "repro_mh_steps_acc": (
-        "i64",
-        (
-            "i64*", "i64*", "i64", "i64", "f64*",
+            "i64*", "i64*", "i64", "i64", "f64*", "i64*", "i64*", "i64*",
             "i64", "i64*", "i64*", "i64*", "i64*",
         ),
     ),
@@ -301,7 +295,7 @@ def rw_steps(
     out_v = np.empty(steps, dtype=np.int64)
     lib.repro_rw_steps(
         _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
-        _i64(out_u), _i64(out_v),
+        _i64(out_u), _i64(out_v), 0, None, None, None,
     )
     return out_u, out_v
 
@@ -316,7 +310,8 @@ def fs_steps(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Native FS steps; mutates ``frontier`` in place.
 
-    Returns ``(out_u, out_v, out_idx)``.
+    Returns ``(out_u, out_v, out_idx)``.  Passes no Fenwick scratch,
+    so the walker pick is the linear scan.
     """
     lib = _lib()
     out_u = np.empty(steps, dtype=np.int64)
@@ -325,7 +320,7 @@ def fs_steps(
     status = lib.repro_fs_steps(
         _i64(indptr), _i64(indices), _i64(frontier), len(frontier), steps,
         1 if degree_selection else 0, _f64(uniforms),
-        _i64(out_u), _i64(out_v), _i64(out_idx),
+        _i64(out_u), _i64(out_v), _i64(out_idx), 0, None, None, None, None,
     )
     if status != 0:
         raise ValueError("frontier reached a state with zero total degree")
@@ -347,6 +342,7 @@ def mh_steps(
     accepted = lib.repro_mh_steps(
         _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
         _i64(out_eu), _i64(out_ev), _i64(out_visited),
+        0, None, None, None, None,
     )
     return out_eu[:accepted], out_ev[:accepted], out_visited
 
@@ -362,16 +358,16 @@ def rw_steps_acc(
     visit_counts: Optional[np.ndarray],
     edge_keys: Optional[np.ndarray],
 ) -> int:
-    """Fused SRW steps: accumulate into the block buffers in place.
+    """SRW steps folded into the block buffers in place.
 
     Returns the final walker position.  Any block buffer may be
     ``None`` to skip that statistic.
     """
     lib = _lib()
-    final = lib.repro_rw_steps_acc(
+    final = lib.repro_rw_steps(
         _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
-        key_base, _i64_opt(deg_counts), _i64_opt(visit_counts),
-        _i64_opt(edge_keys),
+        None, None, key_base, _i64_opt(deg_counts),
+        _i64_opt(visit_counts), _i64_opt(edge_keys),
     )
     return int(final)
 
@@ -388,12 +384,12 @@ def fs_steps_acc(
     visit_counts: Optional[np.ndarray],
     edge_keys: Optional[np.ndarray],
 ) -> None:
-    """Fused FS steps: mutates ``frontier`` and the block in place.
+    """FS steps folded into the block; mutates ``frontier`` in place.
 
     Degree-weighted selection hands the kernel an O(m) Fenwick scratch
     so the per-step walker search is O(log m) instead of O(m) — same
     exact int64 prefix sums, so the selected walkers (and therefore
-    the whole walk) are bit-identical to the linear-scan kernel.
+    the whole walk) are bit-identical to the linear scan.
     """
     lib = _lib()
     fenwick = (
@@ -401,11 +397,11 @@ def fs_steps_acc(
         if degree_selection
         else None
     )
-    status = lib.repro_fs_steps_acc(
+    status = lib.repro_fs_steps(
         _i64(indptr), _i64(indices), _i64(frontier), len(frontier), steps,
-        1 if degree_selection else 0, _f64(uniforms), key_base,
-        _i64_opt(deg_counts), _i64_opt(visit_counts), _i64_opt(edge_keys),
-        _i64_opt(fenwick),
+        1 if degree_selection else 0, _f64(uniforms), None, None, None,
+        key_base, _i64_opt(deg_counts), _i64_opt(visit_counts),
+        _i64_opt(edge_keys), _i64_opt(fenwick),
     )
     if status != 0:
         raise ValueError("frontier reached a state with zero total degree")
@@ -422,7 +418,7 @@ def mh_steps_acc(
     visit_counts: Optional[np.ndarray],
     edge_keys: Optional[np.ndarray],
 ) -> Tuple[int, int]:
-    """Fused MH steps over accepted proposals only.
+    """MH steps folded into the block, accepted proposals only.
 
     ``edge_keys``, when supplied, must hold ``steps`` slots; the kernel
     fills the first ``accepted`` of them.  Returns
@@ -430,9 +426,9 @@ def mh_steps_acc(
     """
     lib = _lib()
     out_state = np.empty(1, dtype=np.int64)
-    accepted = lib.repro_mh_steps_acc(
+    accepted = lib.repro_mh_steps(
         _i64(indptr), _i64(indices), start, steps, _f64(uniforms),
-        key_base, _i64_opt(deg_counts), _i64_opt(visit_counts),
-        _i64_opt(edge_keys), _i64(out_state),
+        None, None, None, key_base, _i64_opt(deg_counts),
+        _i64_opt(visit_counts), _i64_opt(edge_keys), _i64(out_state),
     )
     return int(accepted), int(out_state[0])

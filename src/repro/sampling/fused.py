@@ -4,7 +4,8 @@ The streaming estimators only ever reduce a trace increment down to a
 handful of small statistics — per-degree visit counts, 1/deg-reweighted
 sums, per-vertex visit counts, and the sampled edge multiset.  A
 :class:`FusedBlock` is the exact-integer carrier for those statistics:
-the fused C kernels (``repro_*_steps_acc`` in ``_kernels.c``) fold each
+the C walk kernels (``repro_{rw,fs,mh}_steps`` in ``_kernels.c``, called
+with their block outputs set and their trace outputs NULL) fold each
 stat-bearing step straight into the block while advancing the walker,
 so an anytime checkpoint costs O(max_degree) scratch instead of
 materializing an O(steps) :class:`~repro.sampling.vectorized.ArrayWalkTrace`.
@@ -28,24 +29,19 @@ running float sum would re-associate additions and drift.  Integer
 counts also make merging commutative, which is what lets the sharded
 sessions fold per-shard blocks in any order.
 
-``REPRO_NO_FUSED=1`` (checked per call, so tests can monkeypatch it)
-disables fusion everywhere: sessions and the engine fall back to the
-``take_trace()`` → ``update()`` drain path, which produces bit-identical
-estimates by construction.
+Whether a block is used at all is the accumulator's call: an
+accumulator without ``fused_needs()`` (or whose ``fused_needs()``
+returns ``None``) makes ``SamplerSession.advance_into`` fall back to
+the ``take_trace()`` → ``update()`` drain path, which produces
+bit-identical estimates by construction.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 import numpy as np
-
-
-def fusion_disabled() -> bool:
-    """``True`` when ``REPRO_NO_FUSED`` is set (checked per call)."""
-    return bool(os.environ.get("REPRO_NO_FUSED"))
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph, get_csr
+from repro.graph.graph import Graph
 from repro.sampling import vectorized
-from repro.sampling.fused import (
-    FusedBlock,
-    FusedNeeds,
-    fusion_disabled,
-    merge_needs,
-)
+from repro.sampling.fused import FusedBlock, FusedNeeds, merge_needs
 from repro.sampling.base import (
     Edge,
     VertexTrace,
@@ -69,25 +66,36 @@ from repro.sampling.vectorized import (
     _fast_form,
 )
 from repro.util.alias import AliasTable
+from repro.util.atomic import atomic_write
 from repro.util.fenwick import FenwickTree
 from repro.util.rng import RngLike, child_rng, ensure_np_rng, ensure_rng
 
 PathLike = Union[str, Path]
 
 
-def _graph_signature(graph: Any) -> Tuple[int, int, Optional[int]]:
-    """(num_vertices, num_edges, version) — the resume compatibility check.
+def _graph_signature(
+    graph: Any,
+) -> Tuple[int, int, Optional[int], Optional[str]]:
+    """(num_vertices, num_edges, version, digest) — the resume check.
 
     ``version`` is the graph's mutation counter
     (:attr:`repro.graph.graph.Graph.version`; ``None`` for the
-    immutable :class:`~repro.graph.csr.CSRGraph`, whose array shapes
-    are already pinned by the first two fields).  Including it catches
+    immutable :class:`~repro.graph.csr.CSRGraph`).  It catches
     count-preserving mutations — a ``remove_edge`` + ``add_edge`` pair
     leaves ``(num_vertices, num_edges)`` untouched but reorders
     neighbor rows, which would silently corrupt a resumed walk.
+    ``digest`` is :meth:`~repro.graph.csr.CSRGraph.content_digest` of
+    the graph's CSR form (a :class:`~repro.graph.graph.Graph` hashes
+    its cached ``get_csr`` conversion): it catches a *different* graph
+    with the same counts, which no counter can.
     """
     version = getattr(graph, "version", None)
-    return (graph.num_vertices, graph.num_edges, version)
+    digest = (
+        get_csr(graph).content_digest()
+        if isinstance(graph, (Graph, CSRGraph))
+        else None
+    )
+    return (graph.num_vertices, graph.num_edges, version, digest)
 
 
 def _signatures_compatible(
@@ -95,21 +103,19 @@ def _signatures_compatible(
 ) -> bool:
     """Whether a checkpoint signature accepts the attach candidate.
 
-    Counts must always match.  The version field is compared only when
-    *both* sides carry a mutation counter: pre-version checkpoints
-    stored a 2-tuple, and the immutable :class:`CSRGraph` has no
-    counter (its ``None`` must not block reattaching a list-backend
-    checkpoint to the structurally identical CSR form, or vice versa).
+    Counts must always match.  The version and digest fields are
+    compared only when *both* sides carry them: older checkpoints
+    stored a 2- or 3-tuple, and the immutable :class:`CSRGraph` has no
+    mutation counter (its ``None`` must not block reattaching a
+    checkpoint saved on a :class:`Graph` to the identical CSR form —
+    whose digest is the same).
     """
     expected = tuple(expected)
     if expected[:2] != actual[:2]:
         return False
-    if len(expected) < 3:
-        return True
-    return (
-        expected[2] is None
-        or actual[2] is None
-        or expected[2] == actual[2]
+    return all(
+        mine is None or theirs is None or mine == theirs
+        for mine, theirs in zip(expected[2:], actual[2:])
     )
 
 
@@ -237,8 +243,7 @@ class SamplerSession(abc.ABC):
         sessions override it to run the fused walk+accumulate kernels
         when every accumulator can absorb a
         :class:`~repro.sampling.fused.FusedBlock` (and fall back here
-        otherwise, or when ``REPRO_NO_FUSED`` is set); estimates are
-        bit-identical on either path.
+        otherwise); estimates are bit-identical on either path.
         """
         parts = _accumulator_parts(accumulators)
         taken = self._advance_for(steps, budget)
@@ -331,9 +336,12 @@ class SamplerSession(abc.ABC):
         return state
 
     def save(self, path: PathLike) -> None:
-        """Checkpoint the session to ``path`` (pickle, graph excluded)."""
-        with open(path, "wb") as handle:
-            pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        """Checkpoint the session to ``path`` (pickle, graph excluded).
+
+        The write is atomic: a failure part-way leaves any earlier
+        checkpoint at ``path`` untouched.
+        """
+        atomic_write(path, pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
 
     def attach(self, graph: Any) -> None:
         """Re-attach ``graph`` to a checkpoint loaded from disk.
@@ -406,11 +414,12 @@ def drain_session_checkpoints(
     ``take_trace()`` drains and the session's final step count.  The
     session is closed (when it owns resources) before returning.
 
-    This is THE anytime replication loop: the experiment engine's
-    in-process path and the :class:`~repro.sampling.sharded.
-    ShardedSessionPool` spawn workers both run this exact function, so
-    the two paths cannot drift apart — which is what makes ``procs``
-    a statistics-invariant deployment knob.
+    This is the pooled anytime replication loop: every
+    :class:`~repro.sampling.sharded.ShardedSessionPool` executor runs
+    this exact function.  The experiment engine's in-process loop
+    advances through the same checkpoints with ``advance_into``, which
+    yields the same rows — what makes ``procs`` a statistics-invariant
+    deployment knob.
     """
     try:
         increments: List[Any] = []
@@ -816,11 +825,11 @@ class _ArraySession(SamplerSession):
         )
 
     def _advance_acc(self, steps: int, block: FusedBlock) -> None:
-        """Advance ``steps`` via the fused runners, filling ``block``.
+        """Advance ``steps`` via the ``run_*_acc`` runners, filling ``block``.
 
         Must leave the walker state (positions, frontier, RNG stream)
-        exactly where :meth:`_advance` would — the fused runners share
-        the plain runners' draw protocol, so this holds by construction.
+        exactly where :meth:`_advance` would — both call the same
+        kernel with one draw protocol, so this holds by construction.
         """
         raise NotImplementedError
 
@@ -832,15 +841,14 @@ class _ArraySession(SamplerSession):
     ) -> int:
         """Fused advance: walk and accumulate in one kernel pass.
 
-        Engages when every accumulator absorbs fused blocks and
-        ``REPRO_NO_FUSED`` is unset; otherwise defers to the base
-        drain path.  Estimates are bit-identical either way — the
-        estimators share one count-based reduction between their
-        drained and fused paths.
+        Engages when every accumulator absorbs fused blocks; otherwise
+        defers to the base drain path.  Estimates are bit-identical
+        either way — the estimators share one count-based reduction
+        between their drained and fused paths.
         """
         parts = _accumulator_parts(accumulators)
         needs = merge_needs(parts)
-        if needs is None or fusion_disabled():
+        if needs is None:
             return super().advance_into(
                 accumulators, steps=steps, budget=budget
             )

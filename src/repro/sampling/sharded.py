@@ -75,11 +75,7 @@ from repro.sampling.base import (
     require_walkable_seeds,
 )
 from repro.sampling.distributed import DistributedFrontierSampler
-from repro.sampling.fused import (
-    block_from_arrays,
-    fusion_disabled,
-    merge_needs,
-)
+from repro.sampling.fused import block_from_arrays, merge_needs
 from repro.sampling.session import (
     SamplerSession,
     _accumulator_parts,
@@ -312,9 +308,8 @@ def _anytime_task(
     Returns ``(increments, steps_taken)`` — the per-checkpoint trace
     increments (what ``take_trace`` handed out after each advance) and
     the session's final step count.  The advance/drain loop itself is
-    :func:`~repro.sampling.session.drain_session_checkpoints` — the
-    same function the experiment engine's in-process path runs, so
-    the pooled and in-process paths cannot drift apart.
+    :func:`~repro.sampling.session.drain_session_checkpoints`, the
+    one loop every pool executor runs.
     """
     starter, sampler, schedule, checkpoints, root_seed, index = args
     session = starter(sampler, csr, root_seed, index)
@@ -645,7 +640,7 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
         """
         parts = _accumulator_parts(accumulators)
         needs = merge_needs(parts)
-        if needs is None or fusion_disabled():
+        if needs is None:
             return super().advance_into(
                 accumulators, steps=steps, budget=budget
             )

@@ -458,13 +458,14 @@ def run_metropolis(
 # ----------------------------------------------------------------------
 # fused walk+accumulate runners
 #
-# Each mirrors the plain runner above it draw for draw (same uniforms,
+# Each mirrors the trace runner above it draw for draw (same uniforms,
 # same transition arithmetic, bit-identical walker state) but folds the
 # eq. (7)/(9) sufficient statistics into a FusedBlock instead of
-# materializing step arrays.  The native path stays O(max_degree) in
-# scratch; the pure-Python fallback reuses the plain runner and folds
-# its arrays vectorized — O(steps) memory, but only correctness (not
-# the memory bound) is promised without native kernels.
+# materializing step arrays.  The native path calls the same C kernel
+# with its block outputs set and its trace outputs NULL, so it stays
+# O(max_degree) in scratch; the pure-Python fallback reuses the trace
+# runner and folds its arrays vectorized — O(steps) memory, but only
+# correctness (not the memory bound) is promised without native kernels.
 # ----------------------------------------------------------------------
 def run_random_walk_acc(
     graph: GraphLike,

@@ -161,6 +161,29 @@ class TestGetCsrCache:
             get_csr([(0, 1)])
 
 
+class TestContentDigest:
+    def test_equal_content_equal_digest(self, house):
+        csr = get_csr(house)
+        twin = CSRGraph(csr.indptr.copy(), csr.indices.copy())
+        assert csr.content_digest() == twin.content_digest()
+        assert len(csr.content_digest()) == 64
+
+    def test_neighbor_order_changes_the_digest(self):
+        ordered = CSRGraph(np.array([0, 2, 3, 4]), np.array([1, 2, 0, 0]))
+        swapped = CSRGraph(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+        assert ordered.content_digest() != swapped.content_digest()
+
+    def test_same_counts_different_graph(self):
+        first = get_csr(barabasi_albert(200, 3, rng=1))
+        second = get_csr(barabasi_albert(200, 3, rng=2))
+        assert first.num_edges == second.num_edges
+        assert first.content_digest() != second.content_digest()
+
+    def test_digest_is_computed_once(self, house):
+        csr = get_csr(house)
+        assert csr.content_digest() is csr.content_digest()
+
+
 class TestIo:
     def test_read_edge_list_csr_matches_list(self, tmp_path):
         graph = erdos_renyi_gnp(40, 0.15, rng=9)

@@ -552,12 +552,12 @@ class TestRuntimeSignatureCheck:
             REPO_ROOT / "src" / "repro" / "sampling" / "_kernels.c"
         ).read_text(encoding="utf-8")
         tampered = dict(_native._DECLARATIONS)
-        tampered["repro_rw_steps"] = ("void", ("i64*", "i64*"))
+        tampered["repro_rw_steps"] = ("i64", ("i64*", "i64*"))
         with pytest.raises(_native.KernelSignatureError) as excinfo:
             _native._check_declarations(tampered, source)
         message = str(excinfo.value)
         assert "repro_rw_steps" in message
-        assert "void repro_rw_steps(i64*, i64*)" in message  # declared
+        assert "i64 repro_rw_steps(i64*, i64*)" in message  # declared
         assert "f64*" in message  # the C side's uniforms argument
 
     def test_tampered_type_raises_readable_error(self):
@@ -589,19 +589,21 @@ class TestRuntimeSignatureCheck:
             )
 
     def test_cproto_parses_all_kernels(self):
-        from repro.sampling import _cproto
+        from repro.sampling import _cproto, _native
 
         source = (
             REPO_ROOT / "src" / "repro" / "sampling" / "_kernels.c"
         ).read_text(encoding="utf-8")
         prototypes = _cproto.parse_prototypes(source)
+        # One kernel per sampler: trace and block outputs are nullable
+        # arguments of the same prototype.
         assert set(prototypes) == {
             "repro_rw_steps", "repro_fs_steps", "repro_mh_steps",
-            "repro_rw_steps_acc", "repro_fs_steps_acc",
-            "repro_mh_steps_acc",
         }
-        assert prototypes["repro_rw_steps"].restype == "void"
+        assert set(_native._DECLARATIONS) == set(prototypes)
+        # SRW returns the final walker position.
+        assert prototypes["repro_rw_steps"].restype == "i64"
         assert prototypes["repro_fs_steps"].argtypes[0] == "i64*"
-        # The fused FS kernel's trailing arg is the optional Fenwick
-        # scratch (NULL -> linear scan).
-        assert prototypes["repro_fs_steps_acc"].argtypes[-1] == "i64*"
+        # The FS kernel's trailing arg is the optional Fenwick scratch
+        # (NULL -> linear scan).
+        assert prototypes["repro_fs_steps"].argtypes[-1] == "i64*"

@@ -301,6 +301,72 @@ class TestResumeDeterminism:
         with pytest.raises(ValueError, match="mutated"):
             stale.attach(graph)
 
+    def test_attach_rejects_a_different_graph_with_equal_counts(
+        self, tmp_path
+    ):
+        """Two BA builds differing only in seed share (|V|, |E|) and a
+        CSRGraph carries no mutation counter; the content digest is
+        what refuses the wrong one."""
+        from repro.graph.csr import CSRGraph
+
+        graph = CSRGraph.from_graph(barabasi_albert(2000, 3, rng=1))
+        other = CSRGraph.from_graph(barabasi_albert(2000, 3, rng=2))
+        assert (graph.num_vertices, graph.num_edges) == (
+            other.num_vertices,
+            other.num_edges,
+        )
+        session = FrontierSampler(10).start(graph, rng=1)
+        session.advance(100)
+        path = tmp_path / "ckpt.pkl"
+        session.save(path)
+        with pytest.raises(ValueError, match="signature"):
+            load_session(path, other)
+        resumed = load_session(path, graph)
+        assert resumed.graph is graph
+
+    def test_three_field_checkpoints_stay_loadable(self, graph, tmp_path):
+        """Checkpoints written before the digest field stored
+        (|V|, |E|, version); they attach on the fields they carry."""
+        session = FrontierSampler(6).start(graph, rng=1)
+        session.advance(10)
+        path = tmp_path / "ckpt.pkl"
+        session.save(path)
+        with open(path, "rb") as handle:
+            detached = pickle.load(handle)
+        signature = detached.__dict__["_graph_signature"]
+        assert len(signature) == 4
+        detached.__dict__["_graph_signature"] = signature[:3]
+        detached.attach(graph)
+        assert detached.graph is graph
+
+    def test_interrupted_save_keeps_the_previous_checkpoint(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """save() writes a sibling temporary and renames it into
+        place, so a write dying part-way leaves the last good
+        checkpoint byte-identical and no temporary behind."""
+        from pathlib import Path
+
+        session = FrontierSampler(6).start(graph, rng=1)
+        session.advance(10)
+        path = tmp_path / "ckpt.pkl"
+        session.save(path)
+        before = path.read_bytes()
+        session.advance(10)
+        write_bytes = Path.write_bytes
+
+        def dies_part_way(self, data):
+            write_bytes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", dies_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            session.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert load_session(path, graph).steps_taken == 10
+
     def test_load_session_rejects_non_session(self, graph, tmp_path):
         path = tmp_path / "junk.pkl"
         with open(path, "wb") as handle:
