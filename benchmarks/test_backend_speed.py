@@ -10,6 +10,9 @@ The estimator layer is gated too: eq. (7) degree reweighting over the
 ``ArrayWalkTrace`` arrays must stay >= 10x faster than the tuple-loop
 estimator on the same FS trace, and the two must agree to 1e-12 —
 otherwise the walk speedup evaporates the moment anything is estimated.
+The size estimator's checkpoint loop (absorb a fused block, snapshot
+``|V|``) must stay >= 5x faster than a dict of visit counts recounted
+at every snapshot, with bit-identical estimates.
 
 ``REPRO_BENCH_SCALE`` shrinks the graph and the step count together
 for smoke runs (CI uses 0.05).
@@ -21,14 +24,17 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from repro.estimators.degree import degree_pmf_from_trace
+from repro.estimators.streaming import StreamingGraphSize
 from repro.generators.ba import barabasi_albert
 from repro.graph.csr import get_csr
 from repro.sampling import _native
 from repro.sampling.base import WalkTrace
 from repro.sampling.frontier import FrontierSampler
+from repro.sampling.fused import FusedNeeds, block_from_arrays
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 NUM_VERTICES = max(2_000, int(100_000 * SCALE))
@@ -36,6 +42,14 @@ NUM_STEPS = max(2_000, int(100_000 * SCALE))
 DIMENSION = 64
 SPEEDUP_FLOOR = 5.0
 ESTIMATOR_SPEEDUP_FLOOR = 10.0
+#: Dense visit counts + running collisions vs a dict of counts
+#: recounted at every snapshot, over SIZE_BLOCKS checkpoint blocks.
+SIZE_ESTIMATOR_SPEEDUP_FLOOR = 5.0
+SIZE_BLOCKS = 8
+#: Below ~2*10^4 vertices and steps a block is a few hundred steps and
+#: fixed per-call numpy costs, not the counting, set the ratio; the
+#: gate's graph and walk never shrink below this size.
+SIZE_NUM_VERTICES = max(20_000, NUM_VERTICES)
 #: A chunked session advance may cost at most this much of one-shot
 #: sample() — the anytime protocol must not tax the kernel hot path.
 SESSION_OVERHEAD_CEILING = 1.3
@@ -263,4 +277,87 @@ def test_vectorized_estimator_speedup(ba_graph, walker_seeds, save_result):
     assert speedup >= ESTIMATOR_SPEEDUP_FLOOR, (
         f"vectorized estimator regressed: only {speedup:.1f}x faster"
         f" than the tuple loop (floor {ESTIMATOR_SPEEDUP_FLOOR}x)"
+    )
+
+
+class DictCountsGraphSize(StreamingGraphSize):
+    """The size accumulator with visit counts in a dict and collisions
+    recounted from it at every snapshot; float sums are shared."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self._counts = {}
+
+    def _add_visits(self, vertices, counts, size):
+        for v, count in zip(vertices.tolist(), counts.tolist()):
+            self._counts[v] = self._counts.get(v, 0) + count
+
+    def _statistics(self):
+        self._collisions = sum(c * (c - 1) // 2 for c in self._counts.values())
+        return super()._statistics()
+
+
+def test_size_estimator_checkpoint_speedup(ba_graph, save_result):
+    """Anytime size estimation over fused FS blocks, dense vs dict counts.
+
+    One FS walk is cut into ``SIZE_BLOCKS`` precomputed fused blocks;
+    each accumulator absorbs them in order and snapshots ``|V|`` after
+    every block, as the experiment engine does at its checkpoints.
+    """
+    if SIZE_NUM_VERTICES == NUM_VERTICES:
+        csr = get_csr(ba_graph)
+    else:
+        csr = get_csr(barabasi_albert(SIZE_NUM_VERTICES, 3, rng=1))
+    sampler = FrontierSampler(DIMENSION, backend="csr")
+    trace = sampler.sample(csr, SIZE_NUM_VERTICES, rng=7)
+    needs = FusedNeeds(visit_counts=True)
+    blocks = [
+        block_from_arrays(needs, csr.degrees(), sources, targets)
+        for sources, targets in zip(
+            np.array_split(trace.step_sources, SIZE_BLOCKS),
+            np.array_split(trace.step_targets, SIZE_BLOCKS),
+        )
+    ]
+
+    def checkpoints(accumulator_type):
+        accumulator = accumulator_type(csr)
+        snapshots = []
+        for block in blocks:
+            accumulator.absorb_block(block)
+            snapshots.append(accumulator.num_vertices())
+        return snapshots
+
+    dense = checkpoints(StreamingGraphSize)
+    assert dense == checkpoints(DictCountsGraphSize), (
+        "dense size estimator drifted from the dict-of-counts oracle"
+    )
+
+    def best_of(repeats, accumulator_type):
+        timings = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            checkpoints(accumulator_type)
+            timings.append(time.perf_counter() - started)
+        return min(timings)
+
+    dict_seconds = best_of(3, DictCountsGraphSize)
+    dense_seconds = best_of(5, StreamingGraphSize)
+    speedup = dict_seconds / dense_seconds
+    save_result(
+        "size_estimator_speed",
+        "\n".join(
+            [
+                f"size estimation at {SIZE_BLOCKS} checkpoints"
+                f" ({SIZE_NUM_VERTICES} FS steps, m={DIMENSION},"
+                f" BA n={SIZE_NUM_VERTICES})",
+                f"  dict counts:  {dict_seconds * 1e3:.2f} ms",
+                f"  dense counts: {dense_seconds * 1e3:.2f} ms",
+                f"  speedup: {speedup:.1f}x"
+                f" (final |V| estimate {dense[-1]:.1f}, bit-identical)",
+            ]
+        ),
+    )
+    assert speedup >= SIZE_ESTIMATOR_SPEEDUP_FLOOR, (
+        f"size estimator regressed: only {speedup:.1f}x faster than"
+        f" dict counts (floor {SIZE_ESTIMATOR_SPEEDUP_FLOOR}x)"
     )

@@ -533,9 +533,15 @@ class StreamingEdgeFunctional(StreamingEstimator):
 class StreamingGraphSize(StreamingEstimator):
     """Size accumulator: ``Psi_1``, ``Psi_2`` and vertex collisions.
 
-    Keeps per-vertex visit counts (O(distinct visited) state — far
-    below the step count on a mixing walk), so collisions *across*
-    increments are counted, exactly as the batch estimator sees them.
+    Dense counts in memory, sparse on pickle, an exact running
+    collision count.  Visit counts live in an int64 array indexed by
+    vertex id (the :attr:`~repro.sampling.fused.FusedBlock.visit_counts`
+    layout), sized from the graph's degree array on the first increment
+    and grown if the graph grows.  ``sum_v c_v (c_v - 1) / 2`` is kept
+    as a Python int, raised exactly as counts are added, so collisions
+    *across* increments are counted as the batch estimator sees them
+    and every estimate is O(1).  A pickle stores only the nonzero
+    ``(vertices, counts)`` pair — O(distinct visited).
     """
 
     def __init__(self, graph):
@@ -543,7 +549,8 @@ class StreamingGraphSize(StreamingEstimator):
         self._inverse_sum = 0.0
         self._degree_sum = 0.0
         self._samples = 0
-        self._visits: Dict[int, int] = {}
+        self._visits = np.zeros(0, dtype=np.int64)
+        self._collisions = 0
 
     def _update_array(self, trace) -> None:
         unique, counts = np.unique(trace.step_targets, return_counts=True)
@@ -553,39 +560,81 @@ class StreamingGraphSize(StreamingEstimator):
         self, vertices: np.ndarray, counts: np.ndarray
     ) -> None:
         """Count-based Psi/collision update shared with the fused path."""
-        degrees = _vectorized.degrees_of(self.graph)[vertices].astype(
-            np.float64
-        )
+        degree_array = _vectorized.degrees_of(self.graph)
+        degrees = degree_array[vertices].astype(np.float64)
         weights = counts.astype(np.float64)
         self._inverse_sum += float((weights / degrees).sum())
         self._degree_sum += float((weights * degrees).sum())
         self._samples += int(counts.sum())
-        for v, count in zip(vertices.tolist(), counts.tolist()):
-            self._visits[v] = self._visits.get(v, 0) + count
+        self._add_visits(vertices, counts, degree_array.size)
+
+    def _add_visits(
+        self, vertices: np.ndarray, counts: np.ndarray, size: int
+    ) -> None:
+        """Add ``counts`` at the distinct ``vertices`` (all below ``size``).
+
+        Raising a count ``c`` by ``k`` adds ``k (2c + k - 1) / 2``
+        collision pairs.  The int64 dot product is bounded by twice the
+        squared step count, so it is exact for any walk under ~2e9
+        steps.
+        """
+        if self._visits.size < size:
+            grown = np.zeros(size, dtype=np.int64)
+            grown[: self._visits.size] = self._visits
+            self._visits = grown
+        before = self._visits[vertices]
+        after = before + counts
+        self._collisions += int((before + after - 1) @ counts) // 2
+        self._visits[vertices] = after
 
     def fused_needs(self) -> Optional[FusedNeeds]:
         return FusedNeeds(visit_counts=True)
 
     def _absorb_block(self, block: FusedBlock) -> None:
         assert block.visit_counts is not None
-        vertices = np.flatnonzero(block.visit_counts)
+        # A boolean mask scans several times faster than the int64
+        # counts and yields the same sorted indices.
+        vertices = np.flatnonzero(block.visit_counts != 0)
         self._absorb_visit_counts(vertices, block.visit_counts[vertices])
 
     def _update_list(self, trace: WalkTrace) -> None:
         graph = self.graph
-        for v in trace.visited_vertices:
+        visited = trace.visited_vertices
+        for v in visited:
             degree = graph.degree(v)
             self._inverse_sum += 1.0 / degree
             self._degree_sum += degree
-            self._samples += 1
-            self._visits[v] = self._visits.get(v, 0) + 1
+        self._samples += len(visited)
+        unique, counts = np.unique(
+            np.asarray(visited, dtype=np.int64), return_counts=True
+        )
+        self._add_visits(unique, counts, graph.num_vertices)
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        vertices = np.flatnonzero(self._visits)
+        state["_visits"] = (vertices, self._visits[vertices])
+        del state["_collisions"]  # recounted exactly on load
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        visits = state.pop("_visits")
+        if isinstance(visits, dict):  # the {vertex: count} pre-array state
+            pairs = np.array(sorted(visits.items()), dtype=np.int64)
+            vertices, counts = pairs.reshape(-1, 2).T
+        else:
+            vertices, counts = visits
+        self.__dict__.update(state)
+        self._visits = np.zeros(0, dtype=np.int64)
+        self._collisions = 0
+        self._add_visits(
+            vertices, counts, int(vertices[-1]) + 1 if vertices.size else 0
+        )
 
     def _statistics(self):
         if self._samples < 2:
             raise ValueError("need at least two samples to estimate size")
-        collisions = sum(
-            c * (c - 1) // 2 for c in self._visits.values()
-        )
+        collisions = self._collisions
         if collisions == 0:
             raise ValueError(
                 "no vertex collisions in the trace; increase the budget"

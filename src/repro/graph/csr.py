@@ -41,7 +41,14 @@ class CSRGraph:
     :class:`Graph`; convert once when the crawl/generation phase ends.
     """
 
-    __slots__ = ("indptr", "indices", "_list_cache", "mmap_stem", "_digest")
+    __slots__ = (
+        "indptr",
+        "indices",
+        "_list_cache",
+        "mmap_stem",
+        "_digest",
+        "_degrees",
+    )
 
     def __init__(
         self,
@@ -88,6 +95,8 @@ class CSRGraph:
         self.mmap_stem: Optional[str] = None
         #: Lazily computed :meth:`content_digest`.
         self._digest: Optional[str] = None
+        #: Lazily computed read-only :meth:`degrees`.
+        self._degrees: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -195,8 +204,16 @@ class CSRGraph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> np.ndarray:
-        """Degree sequence as one vectorized diff (no Python loop)."""
-        return np.diff(self.indptr)
+        """Degree sequence as one vectorized diff, computed once.
+
+        The array is shared by every caller and read-only: copy it
+        before modifying.
+        """
+        if self._degrees is None:
+            degrees = np.diff(self.indptr)
+            degrees.setflags(write=False)
+            self._degrees = degrees
+        return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor row of ``v`` (a read-only array view)."""

@@ -8,8 +8,16 @@ backends.
 
 from __future__ import annotations
 
-import pytest
+import functools
+import pickle
+from typing import Dict
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.estimators import _vectorized
 from repro.estimators import (
     StreamingAverageDegree,
     StreamingDegreePMF,
@@ -28,7 +36,10 @@ from repro.estimators import (
     vertex_functional_from_trace,
     vertex_label_densities_from_trace,
 )
+from repro.estimators.streaming import StreamingEstimator
 from repro.generators.ba import barabasi_albert
+from repro.graph.csr import get_csr
+from repro.graph.graph import Graph
 from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling import (
     FrontierSampler,
@@ -37,6 +48,9 @@ from repro.sampling import (
     RandomVertexSampler,
     SingleRandomWalk,
 )
+from repro.sampling.base import WalkTrace
+from repro.sampling.fused import FusedNeeds, block_from_arrays
+from repro.sampling.vectorized import ArrayWalkTrace
 
 BUDGET = 4_000
 CHECKPOINTS = (137, 950, 2_400, BUDGET)
@@ -256,3 +270,230 @@ class TestProtocol:
         assert clone.graph is None
         clone.attach(graph)
         assert clone.estimate() == accumulator.estimate()
+
+
+# ----------------------------------------------------------------------
+# StreamingGraphSize: dense counts + running collisions vs a dict oracle
+# ----------------------------------------------------------------------
+class DictGraphSize(StreamingEstimator):
+    """The dict-of-visit-counts size accumulator, kept as an oracle.
+
+    Same float sums as :class:`StreamingGraphSize`; collisions are
+    recounted from the dict at every snapshot.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._inverse_sum = 0.0
+        self._degree_sum = 0.0
+        self._samples = 0
+        self._visits: Dict[int, int] = {}
+
+    def _update_array(self, trace) -> None:
+        unique, counts = np.unique(trace.step_targets, return_counts=True)
+        self._absorb_visit_counts(unique, counts)
+
+    def _absorb_visit_counts(self, vertices, counts) -> None:
+        degrees = _vectorized.degrees_of(self.graph)[vertices].astype(
+            np.float64
+        )
+        weights = counts.astype(np.float64)
+        self._inverse_sum += float((weights / degrees).sum())
+        self._degree_sum += float((weights * degrees).sum())
+        self._samples += int(counts.sum())
+        for v, count in zip(vertices.tolist(), counts.tolist()):
+            self._visits[v] = self._visits.get(v, 0) + count
+
+    def fused_needs(self):
+        return FusedNeeds(visit_counts=True)
+
+    def _absorb_block(self, block) -> None:
+        vertices = np.flatnonzero(block.visit_counts)
+        self._absorb_visit_counts(vertices, block.visit_counts[vertices])
+
+    def _update_list(self, trace: WalkTrace) -> None:
+        graph = self.graph
+        for v in trace.visited_vertices:
+            degree = graph.degree(v)
+            self._inverse_sum += 1.0 / degree
+            self._degree_sum += degree
+            self._samples += 1
+            self._visits[v] = self._visits.get(v, 0) + 1
+
+    def _statistics(self):
+        if self._samples < 2:
+            raise ValueError("need at least two samples to estimate size")
+        collisions = sum(c * (c - 1) // 2 for c in self._visits.values())
+        if collisions == 0:
+            raise ValueError("no vertex collisions in the trace")
+        b = self._samples
+        pairs = b * (b - 1) / 2.0
+        return self._inverse_sum / b, self._degree_sum / b, collisions, pairs
+
+    def num_vertices(self) -> float:
+        psi_1, psi_2, collisions, pairs = self._statistics()
+        return psi_1 * psi_2 * pairs / collisions
+
+    def volume(self) -> float:
+        _, psi_2, collisions, pairs = self._statistics()
+        return psi_2 * pairs / collisions
+
+    def num_edges(self) -> float:
+        return self.volume() / 2.0
+
+    def estimate(self) -> float:
+        return self.num_vertices()
+
+
+SIZE_WALK_STEPS = 1_500
+SIZE_SAMPLERS = {
+    "fs": FrontierSampler(8, backend="csr"),
+    "srw": SingleRandomWalk(backend="csr"),
+    "mhrw": MetropolisHastingsWalk(backend="csr"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def size_walk(method):
+    """One fixed walk per sampler over a small BA graph: (csr, sources,
+    targets) of its stat-bearing steps (MHRW: accepted moves)."""
+    csr = get_csr(barabasi_albert(300, 2, rng=5))
+    trace = SIZE_SAMPLERS[method].sample(csr, SIZE_WALK_STEPS, rng=11)
+    return csr, trace.step_sources, trace.step_targets
+
+
+def increment(csr, mode, sources, targets):
+    """The same steps as an array trace, a list trace or a fused block."""
+    if mode == "array":
+        return ArrayWalkTrace("walk", sources, targets, [], 0.0, 0.0)
+    if mode == "list":
+        return WalkTrace(
+            method="walk",
+            edges=list(zip(sources.tolist(), targets.tolist())),
+            initial_vertices=[],
+            budget=0.0,
+            seed_cost=0.0,
+        )
+    return block_from_arrays(
+        FusedNeeds(visit_counts=True), csr.degrees(), sources, targets
+    )
+
+
+def feed(accumulator, item):
+    if isinstance(item, WalkTrace):
+        accumulator.update(item)
+    else:
+        accumulator.absorb_block(item)
+
+
+def size_snapshot(accumulator):
+    """``(|V|, vol, |E|)`` or the refusal message."""
+    try:
+        return (
+            accumulator.num_vertices(),
+            accumulator.volume(),
+            accumulator.num_edges(),
+        )
+    except ValueError as error:
+        return str(error).split(";")[0]
+
+
+def recounted_collisions(targets):
+    return sum(c * (c - 1) // 2 for c in np.bincount(targets).tolist())
+
+
+chunkings = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from(["array", "list", "block"]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestGraphSizeState:
+    @pytest.mark.parametrize("method", sorted(SIZE_SAMPLERS))
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(chunks=chunkings)
+    def test_random_chunkings_match_dict_oracle(self, method, chunks):
+        csr, sources, targets = size_walk(method)
+        accumulator = StreamingGraphSize(csr)
+        oracle = DictGraphSize(csr)
+        done = 0
+        for length, mode in [*chunks, (targets.size, "block")]:
+            end = min(done + length, targets.size)
+            item = increment(csr, mode, sources[done:end], targets[done:end])
+            feed(accumulator, item)
+            feed(oracle, item)
+            done = end
+            assert accumulator._collisions == recounted_collisions(
+                targets[:done]
+            )
+            # == on floats: the estimates are bit-identical, not close
+            assert size_snapshot(accumulator) == size_snapshot(oracle)
+        assert done == targets.size
+
+    @pytest.mark.parametrize("method", sorted(SIZE_SAMPLERS))
+    def test_pickle_stores_only_visited_vertices(self, method):
+        csr, sources, targets = size_walk(method)
+        half = targets.size // 2
+        accumulator = StreamingGraphSize(csr)
+        accumulator.update(increment(csr, "array", sources[:half], targets[:half]))
+        vertices, counts = accumulator.__getstate__()["_visits"]
+        visited = np.bincount(targets[:half])
+        assert vertices.tolist() == np.flatnonzero(visited).tolist()
+        assert counts.tolist() == visited[vertices].tolist()
+        assert vertices.size < csr.num_vertices
+
+        clone = pickle.loads(pickle.dumps(accumulator))
+        assert clone.graph is None
+        clone.attach(csr)
+        assert clone._collisions == accumulator._collisions
+        assert size_snapshot(clone) == size_snapshot(accumulator)
+        rest = increment(csr, "block", sources[half:], targets[half:])
+        feed(clone, rest)
+        feed(accumulator, rest)
+        assert size_snapshot(clone) == size_snapshot(accumulator)
+        assert clone._collisions == recounted_collisions(targets)
+
+    @pytest.mark.parametrize("method", sorted(SIZE_SAMPLERS))
+    def test_pre_array_checkpoint_state_loads(self, method):
+        """A state holding a ``{vertex: count}`` dict and no collision
+        count (the layout before the dense array) still resumes."""
+        csr, sources, targets = size_walk(method)
+        half = targets.size // 2
+        first = increment(csr, "list", sources[:half], targets[:half])
+        oracle = DictGraphSize(csr)
+        oracle.update(first)
+        legacy = dict(oracle.__getstate__())
+        assert isinstance(legacy["_visits"], dict)
+
+        loaded = StreamingGraphSize.__new__(StreamingGraphSize)
+        loaded.__setstate__(legacy)
+        loaded.attach(csr)
+        assert loaded._collisions == recounted_collisions(targets[:half])
+        assert size_snapshot(loaded) == size_snapshot(oracle)
+        rest = increment(csr, "array", sources[half:], targets[half:])
+        loaded.update(rest)
+        oracle.update(rest)
+        assert size_snapshot(loaded) == size_snapshot(oracle)
+
+    def test_counts_grow_with_the_graph(self):
+        """A vertex added after the first increment still counts."""
+        graph = Graph.from_edges([(0, 1), (1, 2), (2, 0)])
+        accumulator = StreamingGraphSize(graph)
+        oracle = DictGraphSize(graph)
+        first = WalkTrace("walk", [(0, 1), (1, 2), (2, 0), (0, 1)], [0], 4.0, 0.0)
+        graph.add_edge(2, graph.add_vertex())
+        second = WalkTrace("walk", [(1, 2), (2, 3), (3, 2), (2, 3)], [1], 4.0, 0.0)
+        for trace in (first, second):
+            accumulator.update(trace)
+            oracle.update(trace)
+        assert accumulator._visits.tolist() == [1, 2, 3, 2]
+        assert accumulator._collisions == 0 + 1 + 3 + 1
+        assert size_snapshot(accumulator) == size_snapshot(oracle)

@@ -184,6 +184,22 @@ class TestContentDigest:
         assert csr.content_digest() is csr.content_digest()
 
 
+class TestDegreeCache:
+    def test_degrees_are_computed_once(self, house):
+        csr = get_csr(house)
+        assert csr.degrees() is csr.degrees()
+        assert csr.degrees().tolist() == house.degrees()
+
+    def test_cached_degrees_are_read_only(self, house):
+        degrees = get_csr(house).degrees()
+        assert not degrees.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            degrees[0] = 99
+        with pytest.raises(ValueError, match="read-only"):
+            degrees += 1
+        assert get_csr(house).degrees().tolist() == house.degrees()
+
+
 class TestIo:
     def test_read_edge_list_csr_matches_list(self, tmp_path):
         graph = erdos_renyi_gnp(40, 0.15, rng=9)
