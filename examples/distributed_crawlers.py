@@ -81,9 +81,9 @@ def main() -> None:
 
     sharded = ShardedFrontierSampler(dimension, procs=2)
     sharded_trace = sharded.sample(graph, budget, rng=123)
-    solo_trace = ShardedFrontierSampler(
-        dimension, procs=1, use_processes=False
-    ).sample(graph, budget, rng=123)
+    solo_trace = ShardedFrontierSampler(dimension, procs=1).sample(
+        graph, budget, rng=123
+    )
     identical = (
         sharded_trace.step_sources == solo_trace.step_sources
     ).all() and (sharded_trace.step_times == solo_trace.step_times).all()

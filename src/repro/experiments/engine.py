@@ -4,7 +4,8 @@ The paper's entire evaluation is one computation: replicate a sampler
 ``N`` times, estimate something from each replicate, aggregate across
 replicates.  An :class:`ExperimentPlan` declares that computation —
 graph (or graph factory), sampler grid, budget schedule, accumulator
-and snapshot hooks — and :func:`run_plan` executes it:
+and snapshot hooks — and :func:`run_plan`, the library's one
+replication API, executes it:
 
 - **one resumable session per replicate**: each replicate opens a
   :class:`~repro.sampling.session.SamplerSession` and advances it
@@ -20,12 +21,14 @@ and snapshot hooks — and :func:`run_plan` executes it:
   ``fused_needs()``, the csr kernels fold the eq. (7)/(9) sufficient
   statistics while walking; otherwise the increment is drained
   (``take_trace`` → ``update``).  Rows are bit-identical either way;
-- **multi-process fan-out**: ``run_plan(plan, replicates, procs=N)``
-  ships the replicates of pool-capable samplers to a spawn-safe
-  :class:`~repro.sampling.sharded.ShardedSessionPool` sharing the
-  graph through mmap'd read-only CSR buffers.  Every replicate derives
-  its RNG as ``child_rng(seed, index)`` no matter which process runs
-  it, and accumulation always happens in the parent in replicate
+- **pooled fan-out**: ``run_plan(plan, replicates, procs=N)`` ships
+  the replicates of pool-capable samplers to
+  :meth:`ShardedSessionPool.run_anytime
+  <repro.sampling.sharded.ShardedSessionPool.run_anytime>`, whose one
+  dispatcher runs them inline, on threads or in spawn workers sharing
+  the graph through mmap'd read-only CSR buffers.  Every replicate
+  derives its RNG as ``child_rng(seed, index)`` no matter which process
+  runs it, and accumulation always happens in the parent in replicate
   order, so ``procs=1`` and ``procs=8`` are bit-identical —
   parallelism is a deployment knob, never a statistics change.
 
@@ -42,7 +45,8 @@ Backend semantics:
   ``plan.backend`` (``None`` = the process default) — the exact
   historical driver behavior.
 - ``procs >= 1`` runs pool-capable samplers' sessions over shared CSR
-  buffers (inline when ``procs == 1``, spawn workers otherwise); the
+  buffers (inline when ``procs == 1``, otherwise on the ``executor``'s
+  threads or spawn workers); the
   numpy draw protocol differs from the list backend's, so results
   match ``plan.backend="csr"`` runs, not list-backend runs.
   Samplers that cannot cross the process boundary (list-only walkers
@@ -55,7 +59,6 @@ Backend semantics:
 
 from __future__ import annotations
 
-import random
 from contextlib import nullcontext
 from functools import partial
 from dataclasses import dataclass, field
@@ -88,7 +91,6 @@ from repro.sampling.metropolis import MetropolisHastingsWalk, MetropolisTrace
 from repro.sampling.multiple import MultipleRandomWalk
 from repro.sampling.single import SingleRandomWalk
 from repro.sampling.vectorized import ArrayMetropolisTrace, ArrayWalkTrace
-from repro.util.rng import child_rng
 
 __all__ = [
     "METHOD_SEED_STRIDE",
@@ -99,8 +101,6 @@ __all__ = [
     "concat_traces",
     "default_budget_schedule",
     "default_starter",
-    "map_incremental",
-    "map_replicates",
     "run_plan",
 ]
 
@@ -130,9 +130,9 @@ _POOL_SAFE_TYPES = (
 
 #: The engine's default starter IS the pool workers' default starter
 #: (one definition in :mod:`repro.sampling.session`): the same
-#: ``child_rng(root_seed, index)`` stream derivation ``replicate``
-#: hands out, which is what keeps in-process and pooled replication
-#: bit-identical by construction.
+#: ``child_rng(root_seed, index)`` stream derivation on both paths,
+#: which is what keeps in-process and pooled replication bit-identical
+#: by construction.
 default_starter = default_session_starter
 
 
@@ -596,7 +596,6 @@ def run_plan(
                     root_seed=seed,
                     schedule=plan.schedule,
                     starter=starter,
-                    lazy=True,
                 ):
                     accumulator = plan.accumulator_for(method)
                     row: List[Any] = []
@@ -627,59 +626,3 @@ def run_plan(
             pool.close()
     return result
 
-
-# ----------------------------------------------------------------------
-# the bare replication primitives (what experiments.runner wraps)
-# ----------------------------------------------------------------------
-def map_replicates(
-    run: Callable[[random.Random], Any],
-    runs: int,
-    root_seed: int = 0,
-    backend: Optional[Backend] = None,
-) -> List[Any]:
-    """``[run(child_rng(root_seed, i)) for i in range(runs)]`` with an
-    optional pinned backend — the engine's bare in-process replication
-    core.  Prefer :func:`run_plan` for experiments; this primitive
-    exists for ad-hoc Monte Carlo loops."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    context = use_backend(backend) if backend is not None else nullcontext()
-    with context:
-        return [run(child_rng(root_seed, index)) for index in range(runs)]
-
-
-def map_incremental(
-    start: Callable[[random.Random], Any],
-    measure: Callable[[Any, float], Any],
-    budgets: Checkpoints,
-    runs: int,
-    root_seed: int = 0,
-    backend: Optional[Backend] = None,
-) -> List[List[Any]]:
-    """Anytime replication over caller-managed sessions.
-
-    For each of ``runs`` child streams, ``start(rng)`` opens a session
-    (anything with ``advance_budget``), which is advanced through the
-    ascending ``budgets``; ``measure(session, budget)`` records each
-    checkpoint.  Prefer :func:`run_plan` (it adds draining, pooled
-    fan-out and step accounting); this primitive backs
-    ``experiments.runner.replicate_incremental``.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    checkpoints = [float(b) for b in budgets]
-    if not checkpoints:
-        raise ValueError("budgets must be non-empty")
-    if any(b > a for b, a in zip(checkpoints, checkpoints[1:])):
-        raise ValueError(f"budgets must be non-decreasing, got {budgets}")
-    context = use_backend(backend) if backend is not None else nullcontext()
-    results: List[List[Any]] = []
-    with context:
-        for index in range(runs):
-            session = start(child_rng(root_seed, index))
-            row: List[Any] = []
-            for budget in checkpoints:
-                session.advance_budget(budget)
-                row.append(measure(session, budget))
-            results.append(row)
-    return results

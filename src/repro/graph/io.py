@@ -113,7 +113,7 @@ def save_csr_npy(
 
 
 def load_csr_npy(
-    stem: PathLike, mmap: bool = True, validate: Optional[bool] = None
+    stem: PathLike, mmap: bool = True, validate: bool = True
 ) -> CSRGraph:
     """Reopen a graph written by :func:`save_csr_npy`.
 
@@ -123,21 +123,21 @@ def load_csr_npy(
     only ever touch the rows the walkers visit.  ``mmap=False`` reads
     both arrays into memory.
 
-    ``validate`` controls the O(|E|) content scan of
-    :class:`CSRGraph.__init__`.  The default (``None``) validates
-    in-memory loads but skips the scan for mmap'd ones — running it
-    would page the entire indices file in before the first walk step,
-    defeating the point of mmap.  Pass ``validate=True`` when opening
-    files from an untrusted source (a corrupt indices array would
-    otherwise reach the native kernels unchecked), or ``False`` to
-    skip the scan even in memory.
+    ``validate`` (default on, mmap'd or not) runs the O(|E|) content
+    scan of :class:`CSRGraph.__init__`, so a corrupt file — an
+    out-of-range or negative vertex id, a decreasing ``indptr`` —
+    raises ``ValueError`` here instead of reaching the native kernels,
+    which trust their indices.  For an mmap'd load the scan pages the
+    indices file in once.  Pass ``validate=False`` only to reopen
+    files already validated in this run (the spawn workers reopening
+    their coordinator's graph do).  The O(1) shape checks — ``indptr``
+    starting at 0 and ending at ``len(indices)``, an even ``indices``
+    length — always run.
     """
     indptr_path, indices_path = _csr_paths(stem)
     mode = "r" if mmap else None
     indptr = np.load(indptr_path, mmap_mode=mode)
     indices = np.load(indices_path, mmap_mode=mode)
-    if validate is None:
-        validate = not mmap
     graph = CSRGraph(indptr, indices, validate=validate)
     if mmap:
         # Only an mmap'd graph is actually backed by these files; an

@@ -390,12 +390,11 @@ def default_session_starter(
 ) -> SamplerSession:
     """Open replicate ``index``'s session on its ``child_rng`` stream.
 
-    THE replicate-stream derivation — the one
-    :func:`repro.experiments.runner.replicate` hands out, the one
-    :class:`~repro.sampling.sharded.ShardedSessionPool` workers use,
-    and the experiment engine's default starter.  A single definition
-    keeps in-process and pooled replication bit-identical by
-    construction.
+    THE replicate-stream derivation — the experiment engine's default
+    starter, on its in-process loop and in the
+    :class:`~repro.sampling.sharded.ShardedSessionPool` workers alike.
+    A single definition keeps in-process and pooled replication
+    bit-identical by construction.
     """
     return sampler.start(graph, rng=child_rng(root_seed, index))
 

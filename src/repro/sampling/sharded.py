@@ -13,9 +13,14 @@ kernels) into that engine:
   of exponential-clock walkers sharing the graph through read-only
   mmap'd CSR files (never pickled), merged into one time-ordered
   :class:`~repro.sampling.vectorized.ArrayWalkTrace`.
-- :class:`ShardedSessionPool` — the generic fan-out: run many
-  *independent* sampler sessions (SRW / MHRW / MultipleRW / FS
-  replicates) across worker processes over one shared graph.
+- :class:`ShardedSessionPool` — the replicate fan-out under
+  :func:`~repro.experiments.engine.run_plan`: run many *independent*
+  anytime sessions (SRW / MHRW / MultipleRW / FS replicates) across
+  workers over one shared graph.
+
+Both coordinators dispatch through one method,
+``_SpawnPoolMixin._imap`` — the only place that chooses between
+inline, thread and spawn execution.
 
 Determinism contract.  Every walker owns two private
 ``numpy.random.Generator`` streams derived from the root seed by
@@ -59,7 +64,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -89,7 +93,7 @@ from repro.sampling.vectorized import (
     run_random_walk,
 )
 from repro.util.reentrancy import non_reentrant, thread_core
-from repro.util.rng import NpRngLike, child_rng
+from repro.util.rng import NpRngLike
 
 #: Default per-walker event-generation block (steps).  The block size
 #: is part of the draw protocol: per-block time accumulation
@@ -256,9 +260,15 @@ _WORKER_NATIVE: Optional[bool] = None
 
 @non_reentrant("writes the per-process worker globals _WORKER_CSR/_WORKER_NATIVE")
 def _worker_init(stem: str, native: Optional[bool]) -> None:
-    """Pool initializer: reopen the shared graph read-only via mmap."""
+    """Pool initializer: reopen the shared graph read-only via mmap.
+
+    Skips the content scan: the coordinator validated this graph when
+    it built or loaded it (unless its caller opted out), and every
+    worker rescanning the indices would page the whole file in before
+    the first step.
+    """
     global _WORKER_CSR, _WORKER_NATIVE
-    _WORKER_CSR = load_csr_npy(stem, mmap=True)
+    _WORKER_CSR = load_csr_npy(stem, mmap=True, validate=False)
     _WORKER_NATIVE = native
 
 
@@ -277,24 +287,6 @@ def _shard_advance_task(
         )
         out.append((walker, times, sources, targets))
     return out
-
-
-@thread_core
-def _sample_task(
-    csr: CSRGraph,
-    native: Optional[bool],
-    args: Tuple[Any, float, int, int],
-) -> Any:
-    """One independent session run over the shared graph."""
-    sampler, budget, root_seed, index = args
-    session = sampler.start(csr, rng=child_rng(root_seed, index))
-    try:
-        session.advance_budget(budget)
-        return session.trace()
-    finally:
-        closer = getattr(session, "close", None)
-        if closer is not None:
-            closer()
 
 
 @thread_core
@@ -323,11 +315,6 @@ def _shard_advance(
     return _shard_advance_task(_WORKER_CSR, _WORKER_NATIVE, task)
 
 
-def _pool_sample_one(args: Tuple[Any, float, int, int]) -> Any:
-    """Spawn wrapper for :func:`_sample_task`."""
-    return _sample_task(_WORKER_CSR, _WORKER_NATIVE, args)
-
-
 def _pool_anytime_one(
     args: Tuple[Any, Any, str, List[float], int, int],
 ) -> Tuple[List[Any], int]:
@@ -352,7 +339,8 @@ class _SpawnPoolMixin:
     Holds at most one live fan-out vehicle: a spawn process pool (with
     the graph spilled to mmap'd files for the workers) or a
     ``ThreadPoolExecutor`` (which needs neither spill nor pickling —
-    threads read the coordinator's own ``CSRGraph``).
+    threads read the coordinator's own ``CSRGraph``).  Subclasses set
+    ``self._csr`` and fan work out through :meth:`_imap`.
     """
 
     def _init_sharing(
@@ -371,18 +359,18 @@ class _SpawnPoolMixin:
         self._spill_dir: Optional[Path] = None
         self._stem: Optional[Path] = None
 
-    def _ensure_stem(self, csr: CSRGraph) -> Path:
+    def _ensure_stem(self) -> Path:
         if self._stem is None:
-            self._stem, self._spill_dir = shared_csr_stem(csr)
+            self._stem, self._spill_dir = shared_csr_stem(self._csr)
         return self._stem
 
-    def _ensure_pool(self, csr: CSRGraph) -> Any:
+    def _ensure_pool(self) -> Any:
         if self._pool is None:
             context = multiprocessing.get_context("spawn")
             self._pool = context.Pool(
                 self.procs,
                 initializer=_worker_init,
-                initargs=(str(self._ensure_stem(csr)), self._native),
+                initargs=(str(self._ensure_stem()), self._native),
             )
         return self._pool
 
@@ -392,6 +380,26 @@ class _SpawnPoolMixin:
                 max_workers=self.procs, thread_name_prefix="repro-shard"
             )
         return self._threads
+
+    def _imap(
+        self, task_fn: Any, spawn_fn: Any, tasks: List[Any]
+    ) -> Iterator[Any]:
+        """Run ``task_fn(csr, native, task)`` over ``tasks``, in order.
+
+        The one executor dispatch: inline (lazily, in this thread) when
+        ``procs <= 1``, on the thread pool over ``self._csr`` for
+        ``executor="thread"``, otherwise in spawn workers, which run
+        ``spawn_fn(task)`` — the module-level wrapper of the same core
+        that reads the graph from the per-process globals.  Results
+        come back as an iterator in task order, whatever the executor.
+        """
+        if self.procs <= 1:
+            return (task_fn(self._csr, self._native, task) for task in tasks)
+        if self.executor == "thread":
+            bound = partial(task_fn, self._csr, self._native)
+            return self._ensure_threads().map(bound, tasks)
+        chunk = max(1, len(tasks) // (self.procs * 4))
+        return self._ensure_pool().imap(spawn_fn, tasks, chunksize=chunk)
 
     def close(self) -> None:
         """Shut down the workers and remove any temp-spilled graph."""
@@ -427,8 +435,8 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
     """FS as per-process shards of exponential-clock walkers.
 
     ``advance(n)`` extends the *merged* jump sequence by ``n`` events:
-    shards generate per-walker event blocks (in workers when
-    ``procs > 1`` and processes are enabled, inline otherwise), the
+    shards generate per-walker event blocks (on the executor's workers
+    when ``procs > 1``, inline otherwise), the
     coordinator merges everything generated so far by ``(jump_time,
     walker_index)`` and commits the first ``n`` uncommitted events to
     the trace; overshoot events stay buffered for the next advance, so
@@ -465,7 +473,6 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
         require_walkable_seeds(csr, seeds, "FS cannot walk from it")
         self.entropy = entropy
         self._init_sharing(sampler.procs, sampler.native, sampler.executor)
-        self._use_processes = sampler.use_processes
         self.event_block = int(sampler.event_block)
         self._walkers = [
             _WalkerClock(
@@ -498,27 +505,11 @@ class ShardedFrontierSession(_SpawnPoolMixin, SamplerSession):
             (self._walkers[index], blocks)
             for index, blocks in sorted(blocks_by_walker.items())
         ]
-        run_parallel = self._use_processes is not False and self.procs > 1
         tasks = [
             (self.event_block, shard)
             for shard in _partition(items, self.procs)
         ]
-        if not run_parallel:
-            shard_results = [
-                _shard_advance_task(self._csr, self._native, task)
-                for task in tasks
-            ]
-        elif self.executor == "thread":
-            shard_results = list(
-                self._ensure_threads().map(
-                    partial(_shard_advance_task, self._csr, self._native),
-                    tasks,
-                )
-            )
-        else:
-            pool = self._ensure_pool(self._csr)
-            shard_results = pool.map(_shard_advance, tasks)
-        for result in shard_results:
+        for result in self._imap(_shard_advance_task, _shard_advance, tasks):
             for walker, times, sources, targets in result:
                 # The pool round-trips walker state by value; adopt the
                 # advanced copy as the authoritative one.
@@ -674,9 +665,9 @@ class ShardedFrontierSampler(Sampler):
     exactly: ``m`` seeds at ``seed_cost`` each, one unit per merged
     jump.
 
-    ``procs=None`` uses every CPU; ``use_processes=False`` runs the
-    shard tasks inline (same draw protocol, no pool — useful for tests
-    and single-core hosts).  ``executor`` picks the fan-out vehicle
+    ``procs=None`` uses every CPU; ``procs=1`` runs the shard tasks
+    inline (same draw protocol, no pool — the merged trace does not
+    depend on the shard count).  ``executor`` picks the fan-out vehicle
     when ``procs > 1``: ``"spawn"`` (the default, ``None``) ships
     shards to worker processes over mmap'd CSR buffers, ``"thread"``
     drives them from a ``ThreadPoolExecutor`` over the in-process
@@ -701,7 +692,6 @@ class ShardedFrontierSampler(Sampler):
         seed_cost: float = 1.0,
         procs: Optional[int] = None,
         native: Optional[bool] = None,
-        use_processes: Optional[bool] = None,
         event_block: int = EVENT_BLOCK,
         executor: Optional[str] = None,
     ) -> None:
@@ -716,7 +706,6 @@ class ShardedFrontierSampler(Sampler):
             raise ValueError(f"procs must be >= 1, got {procs}")
         self.procs = procs
         self.native = native
-        self.use_processes = use_processes
         if event_block < 1:
             raise ValueError(
                 f"event_block must be >= 1, got {event_block}"
@@ -770,14 +759,16 @@ class ShardedFrontierSampler(Sampler):
 # generic independent-session fan-out
 # ----------------------------------------------------------------------
 class ShardedSessionPool(_SpawnPoolMixin):
-    """Run independent sampler sessions across processes, one shared graph.
+    """Run independent anytime sessions across workers, one shared graph.
 
-    The graph crosses the process boundary as mmap'd read-only CSR
-    buffers (spilled to a temp directory unless already file-backed);
-    each run derives its RNG as ``child_rng(root_seed, index)`` —
-    exactly the stream :func:`repro.experiments.runner.replicate`
-    hands out — so ``pool.run(sampler, budget, runs)`` reproduces the
-    in-process replication bit for bit, just fanned out.
+    The fan-out under :func:`repro.experiments.engine.run_plan`.  The
+    graph crosses the process boundary as mmap'd read-only CSR buffers
+    (spilled to a temp directory unless already file-backed); each run
+    opens its session on ``child_rng(root_seed, index)`` — the stream
+    the engine's in-process loop hands out — so
+    ``run_anytime(sampler, [budget], runs)`` reproduces in-process
+    ``sampler.sample(graph, budget, child_rng(root_seed, i))`` bit for
+    bit, just fanned out.
 
     Suited to samplers whose sessions run on the csr backend: SRW,
     MHRW, MultipleRW, FS.  :class:`DistributedFrontierSampler` is
@@ -805,8 +796,38 @@ class ShardedSessionPool(_SpawnPoolMixin):
         self._csr = get_csr(graph)
         self._init_sharing(procs, None, executor)
 
-    @staticmethod
-    def _check_run(sampler: Any, runs: int) -> None:
+    def run_anytime(
+        self,
+        sampler: Any,
+        checkpoints: Sequence[float],
+        runs: int,
+        root_seed: int = 0,
+        schedule: str = "budget",
+        starter: Optional[Any] = None,
+    ) -> Iterator[Tuple[List[Any], int]]:
+        """``runs`` independent anytime sessions, drained at every
+        checkpoint.
+
+        Each run opens one session (via ``starter(sampler, graph,
+        root_seed, index)``; default :func:`default_session_starter`),
+        advances it through the ascending ``checkpoints`` —
+        ``advance_budget`` for ``schedule="budget"``, cumulative
+        ``advance`` steps for ``schedule="steps"`` — and yields the
+        per-checkpoint trace increments plus the session's final step
+        count.  Each replicate walks once, whatever the number of
+        checkpoints, and the result is bit-identical for any worker
+        count and executor (inline at ``procs <= 1``, thread or spawn
+        workers otherwise — same task function, same streams).
+        ``starter`` must be picklable (a module-level function or an
+        instance of a module-level class) when the spawn executor runs
+        it.
+
+        Arguments are checked eagerly; the rows come back as an
+        iterator in run order, so a streaming consumer — the experiment
+        engine accumulating replicate by replicate — never holds more
+        than one replicate's increments at a time.  Consume it before
+        closing the pool.
+        """
         if isinstance(sampler, DistributedFrontierSampler):
             raise TypeError(
                 "DistributedFrontierSampler runs on the list backend only"
@@ -823,83 +844,6 @@ class ShardedSessionPool(_SpawnPoolMixin):
             )
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
-
-    def _map(
-        self, task_fn: Any, spawn_fn: Any, tasks: List[Any]
-    ) -> List[Any]:
-        """Run ``task_fn(csr, native, task)`` over every task, eagerly.
-
-        ``spawn_fn`` is the module-level wrapper the spawn workers run
-        (same core, graph read from the per-process globals).
-        """
-        if self.procs <= 1:
-            return [
-                task_fn(self._csr, self._native, task) for task in tasks
-            ]
-        if self.executor == "thread":
-            bound = partial(task_fn, self._csr, self._native)
-            return list(self._ensure_threads().map(bound, tasks))
-        pool = self._ensure_pool(self._csr)
-        chunk = max(1, len(tasks) // (self.procs * 4))
-        return pool.map(spawn_fn, tasks, chunksize=chunk)
-
-    def _imap(
-        self, task_fn: Any, spawn_fn: Any, tasks: List[Any]
-    ) -> Iterator[Any]:
-        """Lazy :meth:`_map`: an iterator over results in task order."""
-        if self.procs <= 1:
-            return (
-                task_fn(self._csr, self._native, task) for task in tasks
-            )
-        if self.executor == "thread":
-            bound = partial(task_fn, self._csr, self._native)
-            return self._ensure_threads().map(bound, tasks)
-        pool = self._ensure_pool(self._csr)
-        chunk = max(1, len(tasks) // (self.procs * 4))
-        return pool.imap(spawn_fn, tasks, chunksize=chunk)
-
-    def run(
-        self, sampler: Any, budget: float, runs: int, root_seed: int = 0
-    ) -> List[Any]:
-        """``runs`` independent ``sample(graph, budget)`` traces."""
-        self._check_run(sampler, runs)
-        tasks = [(sampler, budget, root_seed, index) for index in range(runs)]
-        return self._map(_sample_task, _pool_sample_one, tasks)
-
-    def run_anytime(
-        self,
-        sampler: Any,
-        checkpoints: Sequence[float],
-        runs: int,
-        root_seed: int = 0,
-        schedule: str = "budget",
-        starter: Optional[Any] = None,
-        lazy: bool = False,
-    ) -> Union[List[Tuple[List[Any], int]], Iterator[Tuple[List[Any], int]]]:
-        """``runs`` independent anytime sessions, drained at every
-        checkpoint.
-
-        Each run opens one session (via ``starter(sampler, graph,
-        root_seed, index)``; default :func:`default_session_starter`),
-        advances it through the ascending ``checkpoints`` —
-        ``advance_budget`` for ``schedule="budget"``, cumulative
-        ``advance`` steps for ``schedule="steps"`` — and returns the
-        per-checkpoint trace increments plus the session's final step
-        count.  This is the fan-out under
-        :func:`repro.experiments.engine.run_plan`: each replicate
-        walks once, whatever the number of checkpoints, and the
-        result is bit-identical for any worker count and executor
-        (inline at ``procs <= 1``, thread or spawn workers otherwise —
-        same task function, same streams).  ``starter`` must be
-        picklable (a module-level function or an instance of a
-        module-level class) when the spawn executor runs it.
-
-        ``lazy=True`` returns an iterator over the rows (task order)
-        instead of a list, so a streaming consumer — the experiment
-        engine accumulating replicate by replicate — never holds more
-        than one replicate's increments at a time.
-        """
-        self._check_run(sampler, runs)
         if schedule not in ("budget", "steps"):
             raise ValueError(
                 f"schedule must be 'budget' or 'steps', got {schedule!r}"
@@ -916,6 +860,4 @@ class ShardedSessionPool(_SpawnPoolMixin):
             (starter, sampler, schedule, marks, root_seed, index)
             for index in range(runs)
         ]
-        if lazy:
-            return self._imap(_anytime_task, _pool_anytime_one, tasks)
-        return self._map(_anytime_task, _pool_anytime_one, tasks)
+        return self._imap(_anytime_task, _pool_anytime_one, tasks)

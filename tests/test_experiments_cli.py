@@ -1,8 +1,18 @@
 """Tests for the repro-experiments CLI."""
 
+import pickle
+
 import pytest
 
 from repro.experiments.cli import _EXPERIMENTS, main
+
+
+def _final_lines(out):
+    """The run's closing step-count and estimate lines."""
+    return [
+        line for line in out.splitlines()
+        if line.startswith(("session done", "estimates:"))
+    ]
 
 
 class TestCli:
@@ -112,6 +122,38 @@ class TestSampleSubcommand:
                      "--budget", "150", "--resume", checkpoint]) == 0
         out = capsys.readouterr().out
         assert "resumed FS session" in out
+
+    def test_sharded_checkpoint_resume_repins(self, tmp_path, capsys):
+        """A ``--procs 2`` FS checkpoint resumed under ``--executor
+        thread``, under ``--procs 1``, or written before the
+        ``use_processes`` knob was retired ends on the same estimates
+        as an uninterrupted ``--procs 2`` run."""
+        base = ["sample", "--ba", "300", "2", "--sampler", "fs",
+                "--dimension", "8", "--chunk", "100"]
+        checkpoint = tmp_path / "sharded.ckpt"
+        assert main(base + ["--procs", "2", "--budget", "300",
+                            "--checkpoint", str(checkpoint)]) == 0
+        assert "checkpoint written" in capsys.readouterr().out
+        assert main(base + ["--procs", "2", "--budget", "900"]) == 0
+        expected = _final_lines(capsys.readouterr().out)
+        assert len(expected) == 2
+
+        payload = pickle.loads(checkpoint.read_bytes())
+        payload["session"]._use_processes = False
+        payload["session"].sampler.use_processes = False
+        legacy = tmp_path / "legacy.ckpt"
+        legacy.write_bytes(pickle.dumps(payload))
+
+        for path, flags in (
+            (checkpoint, ["--executor", "thread"]),
+            (checkpoint, ["--procs", "1"]),
+            (legacy, []),
+        ):
+            assert main(base + ["--budget", "900",
+                                "--resume", str(path)] + flags) == 0
+            out = capsys.readouterr().out
+            assert "resumed ShardedFS session" in out
+            assert _final_lines(out) == expected, flags
 
     def test_dfs_rejects_csr_backend(self):
         with pytest.raises(SystemExit):

@@ -390,26 +390,36 @@ class TestRunAnytime:
         from repro.sampling.sharded import ShardedSessionPool
 
         with ShardedSessionPool(graph, procs=1) as pool:
-            rows = pool.run_anytime(
-                SingleRandomWalk(), [50, 120], 2, root_seed=7
+            rows = list(
+                pool.run_anytime(
+                    SingleRandomWalk(), [50, 120], 2, root_seed=7
+                )
             )
         assert len(rows) == 2
         for increments, steps in rows:
             assert steps == 119  # one seed unit, then steps to B=120
             assert [t.num_steps for t in increments] == [49, 70]
 
-    def test_streams_match_pool_run(self, graph):
-        """run_anytime at one checkpoint reproduces run()'s traces."""
+    def test_single_checkpoint_matches_one_shot_sample(self, graph):
+        """run_anytime at one checkpoint reproduces in-process
+        ``sample()`` on each replicate's child stream."""
+        from repro.graph.csr import get_csr
         from repro.sampling.sharded import ShardedSessionPool
 
         sampler = FrontierSampler(4)
+        csr = get_csr(graph)
         with ShardedSessionPool(graph, procs=1) as pool:
-            one_shot = pool.run(sampler, 120, runs=2, root_seed=9)
-            anytime = pool.run_anytime(
-                sampler, [120], runs=2, root_seed=9
+            anytime = list(
+                pool.run_anytime(sampler, [120], runs=2, root_seed=9)
             )
-        for trace, (increments, _) in zip(one_shot, anytime):
+        assert len(anytime) == 2
+        for index, (increments, _) in enumerate(anytime):
+            trace = sampler.sample(csr, 120, rng=child_rng(9, index))
             assert len(increments) == 1
             assert np.array_equal(
                 trace.step_sources, increments[0].step_sources
             )
+            assert np.array_equal(
+                trace.step_targets, increments[0].step_targets
+            )
+

@@ -1,6 +1,12 @@
 """Tests for edge-list I/O."""
 
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph.io import read_edge_list, write_edge_list
 
@@ -179,10 +185,74 @@ class TestCsrNpyPersistence:
         corrupt = np.load(indices_path)
         corrupt[0] = 10_000  # out-of-range vertex id
         np.save(indices_path, corrupt)
-        # in-memory loads validate by default
+        # in-memory and mmap'd loads both validate by default
         with pytest.raises(ValueError, match="out-of-range"):
             load_csr_npy(tmp_path / "g", mmap=False)
-        # mmap loads skip the scan by default but can opt in
-        load_csr_npy(tmp_path / "g", mmap=True)
         with pytest.raises(ValueError, match="out-of-range"):
-            load_csr_npy(tmp_path / "g", mmap=True, validate=True)
+            load_csr_npy(tmp_path / "g", mmap=True)
+        # the scan is skippable only on explicit request
+        load_csr_npy(tmp_path / "g", mmap=True, validate=False)
+
+
+def _corrupt(indptr, indices, case, draw):
+    """Apply one malformation ``case`` to a valid CSR pair."""
+    n = indptr.size - 1
+    indptr, indices = indptr.copy(), indices.copy()
+    if case == "out_of_range":
+        at = draw(st.integers(0, indices.size - 1))
+        indices[at] = draw(st.integers(n, 10**12))
+    elif case == "negative":
+        at = draw(st.integers(0, indices.size - 1))
+        indices[at] = draw(st.integers(-(10**12), -1))
+    elif case == "decreasing_indptr":
+        # Swap two interior offsets that differ: the sum is kept, the
+        # order breaks, and the ends stay valid.
+        rows = [i for i in range(1, n - 1) if indptr[i] != indptr[i + 1]]
+        at = draw(st.sampled_from(rows))
+        indptr[at], indptr[at + 1] = indptr[at + 1], indptr[at]
+    elif case == "indptr_end_mismatch":
+        indptr[-1] += draw(st.sampled_from([-2, 2, 4]))
+    elif case == "odd_length":
+        indices = np.append(indices, 0)
+        indptr[-1] += 1
+    return indptr, indices
+
+
+class TestCorruptCsrFilesRaise:
+    """A malformed ``.npy`` pair raises ``ValueError`` at load time —
+    mmap'd or not — so it can never reach the native kernels."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.data(),
+        case=st.sampled_from(
+            [
+                "out_of_range",
+                "negative",
+                "decreasing_indptr",
+                "indptr_end_mismatch",
+                "odd_length",
+            ]
+        ),
+        mmap=st.booleans(),
+        n=st.integers(4, 40),
+    )
+    def test_load_rejects_malformed_files(self, tmp_path, data, case, mmap, n):
+        from repro.generators.ba import barabasi_albert
+        from repro.graph.csr import get_csr
+        from repro.graph.io import load_csr_npy, save_csr_npy
+
+        csr = get_csr(barabasi_albert(n, 2, rng=n))
+        indptr, indices = _corrupt(csr.indptr, csr.indices, case, data.draw)
+        # A fresh directory per example: rewriting a file that an
+        # earlier example still has mmap'd is undefined behavior.
+        stem = Path(tempfile.mkdtemp(dir=tmp_path)) / "g"
+        indptr_path, indices_path = save_csr_npy(csr, stem)
+        np.save(indptr_path, indptr)
+        np.save(indices_path, indices)
+        with pytest.raises(ValueError):
+            load_csr_npy(stem, mmap=mmap)

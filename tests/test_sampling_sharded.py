@@ -15,6 +15,10 @@ The contract under test (see ``sampling/sharded.py``):
 - :class:`ShardedSessionPool` reproduces in-process replication bit
   for bit, just fanned out across spawn workers.
 
+``local_sampler`` keeps every shard in this process: inline at
+``procs=1``, on the thread executor's pool at ``procs=k`` — the same
+k-shard partition the spawn workers get, through the same dispatcher.
+
 The real-spawn tests default to 2 worker processes; CI's 4-proc smoke
 leg sets ``REPRO_SHARD_PROCS=4`` to cover a wider pool under spawn
 start-method semantics (what macOS/Windows use by default), and its
@@ -65,9 +69,9 @@ def csr(graph):
     return get_csr(graph)
 
 
-def inline_sampler(dimension=6, procs=1, **kwargs):
+def local_sampler(dimension=6, procs=1, **kwargs):
     return ShardedFrontierSampler(
-        dimension, procs=procs, use_processes=False, **kwargs
+        dimension, procs=procs, executor="thread", **kwargs
     )
 
 
@@ -81,7 +85,7 @@ def assert_traces_equal(a, b):
 
 class TestMergedTraceContract:
     def test_trace_is_time_ordered_and_walker_consistent(self, graph):
-        trace = inline_sampler(6).sample(graph, 200, rng=7)
+        trace = local_sampler(6).sample(graph, 200, rng=7)
         assert trace.num_steps == 200 - 6
         assert np.all(np.diff(trace.step_times) >= 0)
         assert trace.step_walkers.min() >= 0
@@ -97,7 +101,7 @@ class TestMergedTraceContract:
             position[w] = v
 
     def test_every_walker_index_jumps_eventually(self, graph):
-        trace = inline_sampler(4).sample(graph, 400, rng=3)
+        trace = local_sampler(4).sample(graph, 400, rng=3)
         assert set(trace.step_walkers.tolist()) == {0, 1, 2, 3}
 
     def test_invalid_procs_rejected(self, graph):
@@ -109,7 +113,7 @@ class TestMergedTraceContract:
             ShardedFrontierSampler(4, event_block=0)
 
     def test_pinned_seeds_and_dimension_check(self, graph):
-        sampler = inline_sampler(3)
+        sampler = local_sampler(3)
         trace = sampler.sample_from(graph, [5, 9, 11], 40, rng=1)
         assert trace.initial_vertices == [5, 9, 11]
         with pytest.raises(ValueError):
@@ -120,21 +124,21 @@ class TestMergedTraceContract:
         lonely.add_vertex()
         isolated = lonely.num_vertices - 1
         with pytest.raises(ValueError, match="isolated"):
-            inline_sampler(2).start(
+            local_sampler(2).start(
                 lonely, rng=1, initial_vertices=[0, isolated]
             )
 
 
 class TestDeterminism:
     def test_shard_count_invariance_inline(self, graph):
-        reference = inline_sampler(6, procs=1).sample(graph, 250, rng=11)
+        reference = local_sampler(6, procs=1).sample(graph, 250, rng=11)
         for shards in (2, 3, 5, 8):
-            other = inline_sampler(6, procs=shards).sample(graph, 250, rng=11)
+            other = local_sampler(6, procs=shards).sample(graph, 250, rng=11)
             assert_traces_equal(reference, other)
 
     def test_repeated_runs_bit_identical(self, graph):
-        a = inline_sampler(5, procs=2).sample(graph, 200, rng=21)
-        b = inline_sampler(5, procs=2).sample(graph, 200, rng=21)
+        a = local_sampler(5, procs=2).sample(graph, 200, rng=21)
+        b = local_sampler(5, procs=2).sample(graph, 200, rng=21)
         assert_traces_equal(a, b)
 
     @settings(max_examples=40, deadline=None)
@@ -150,8 +154,8 @@ class TestDeterminism:
     ):
         """Shard-count 1 vs k and any advance chunking: identical merges."""
         graph = _hypothesis_graph()
-        one = inline_sampler(dimension, procs=1)
-        sharded = inline_sampler(dimension, procs=shards)
+        one = local_sampler(dimension, procs=1)
+        sharded = local_sampler(dimension, procs=shards)
         with one.start(graph, rng=seed) as session:
             session.advance(steps)
             reference = session.trace()
@@ -166,20 +170,20 @@ class TestDeterminism:
         not _native.available(), reason="no native kernels to compare"
     )
     def test_native_and_fallback_kernels_agree(self, csr):
-        fast = ShardedFrontierSampler(
-            4, procs=1, use_processes=False, native=True
-        ).sample(csr, 150, rng=13)
-        slow = ShardedFrontierSampler(
-            4, procs=1, use_processes=False, native=False
-        ).sample(csr, 150, rng=13)
+        fast = ShardedFrontierSampler(4, procs=1, native=True).sample(
+            csr, 150, rng=13
+        )
+        slow = ShardedFrontierSampler(4, procs=1, native=False).sample(
+            csr, 150, rng=13
+        )
         assert_traces_equal(fast, slow)
 
     def test_mmap_graph_matches_in_memory(self, graph, csr, tmp_path):
         save_csr_npy(csr, tmp_path / "g")
         mapped = load_csr_npy(tmp_path / "g", mmap=True)
         assert mapped.mmap_stem is not None
-        in_memory = inline_sampler(4).sample(csr, 150, rng=5)
-        via_mmap = inline_sampler(4).sample(mapped, 150, rng=5)
+        in_memory = local_sampler(4).sample(csr, 150, rng=5)
+        via_mmap = local_sampler(4).sample(mapped, 150, rng=5)
         assert_traces_equal(in_memory, via_mmap)
 
 
@@ -200,10 +204,10 @@ class TestSpawnPool:
                 # Threads read the in-process CSR: nothing to spill.
                 assert spill is None
         assert spill is None or not spill.exists()
-        inline = inline_sampler(6, procs=SPAWN_PROCS).start(graph, rng=7)
-        inline.advance_budget(220)
-        assert_traces_equal(pooled, inline.trace())
-        inline.close()
+        local = local_sampler(6, procs=SPAWN_PROCS).start(graph, rng=7)
+        local.advance_budget(220)
+        assert_traces_equal(pooled, local.trace())
+        local.close()
 
     def test_spawn_pool_reuses_file_backed_graph(self, csr, tmp_path):
         save_csr_npy(csr, tmp_path / "g")
@@ -215,7 +219,7 @@ class TestSpawnPool:
             assert session._spill_dir is None  # shared in place
             pooled = session.trace()
         assert_traces_equal(
-            pooled, inline_sampler(4).sample_from(
+            pooled, local_sampler(4).sample_from(
                 csr, pooled.initial_vertices, 100, rng=3
             ),
         )
@@ -237,7 +241,7 @@ class TestBudgetParity:
             DistributedFrontierSampler(dimension, seed_cost=seed_cost).start(
                 graph, rng=7
             ),
-            inline_sampler(dimension, seed_cost=seed_cost).start(graph, rng=7),
+            local_sampler(dimension, seed_cost=seed_cost).start(graph, rng=7),
         ]
         expected_steps = max(0, int(budget - dimension * seed_cost))
         for session in sessions:
@@ -253,7 +257,7 @@ class TestBudgetParity:
                 closer()
 
     def test_budget_below_seed_cost_takes_no_steps(self, graph):
-        session = inline_sampler(6, seed_cost=2.0).start(graph, rng=1)
+        session = local_sampler(6, seed_cost=2.0).start(graph, rng=1)
         session.advance_budget(11)  # 6 seeds cost 12 > 11
         assert session.steps_taken == 0
         assert session.spent() == pytest.approx(12.0)
@@ -262,7 +266,7 @@ class TestBudgetParity:
 
 class TestCheckpointResume:
     def test_resume_matches_uninterrupted(self, graph, tmp_path):
-        sampler = inline_sampler(6)
+        sampler = local_sampler(6)
         interrupted = sampler.start(graph, rng=7)
         interrupted.advance(60)
         path = tmp_path / "sharded.ckpt"
@@ -278,7 +282,7 @@ class TestCheckpointResume:
 
     def test_resume_same_checkpoint_twice_is_identical(self, graph, tmp_path):
         """Satellite: two resumes of one file must not alias."""
-        session = inline_sampler(5).start(graph, rng=19)
+        session = local_sampler(5).start(graph, rng=19)
         session.advance(40)
         path = tmp_path / "sharded.ckpt"
         session.save(path)
@@ -307,7 +311,7 @@ class TestDistributionalParityWithDFS:
             return float(degrees[visited].mean())
 
         sharded = [
-            inline_sampler(6).sample(graph, 300, rng=child_rng(1, run))
+            local_sampler(6).sample(graph, 300, rng=child_rng(1, run))
             for run in range(15)
         ]
         distributed = [
@@ -335,53 +339,67 @@ class TestSessionPool:
         self, graph, csr, sampler
     ):
         with ShardedSessionPool(graph, procs=1) as pool:
-            traces = pool.run(sampler, 120, runs=3, root_seed=9)
+            traces = one_shot_traces(pool, sampler, 120, runs=3, root_seed=9)
+        assert len(traces) == 3
         for index, trace in enumerate(traces):
             reference = sampler.sample(csr, 120, rng=child_rng(9, index))
             assert trace.edges == reference.edges
             assert trace.initial_vertices == reference.initial_vertices
             assert trace.spent() == pytest.approx(reference.spent())
 
-    def test_spawn_pool_matches_inline_pool(self, graph):
+    def test_spawn_pool_matches_inline_pool(self, graph, csr):
         sampler = FrontierSampler(4)
         with ShardedSessionPool(graph, procs=1) as pool:
-            inline = pool.run(sampler, 120, runs=4, root_seed=9)
+            inline = one_shot_traces(pool, sampler, 120, runs=4, root_seed=9)
         with ShardedSessionPool(
             graph, procs=SPAWN_PROCS, executor=EXECUTOR
         ) as pool:
-            pooled = pool.run(sampler, 120, runs=4, root_seed=9)
-        for a, b in zip(inline, pooled):
-            assert a.edges == b.edges
+            pooled = one_shot_traces(pool, sampler, 120, runs=4, root_seed=9)
+        assert len(pooled) == 4
+        for index, (a, b) in enumerate(zip(inline, pooled)):
+            reference = sampler.sample(csr, 120, rng=child_rng(9, index))
+            assert a.edges == b.edges == reference.edges
             assert a.initial_vertices == b.initial_vertices
 
     def test_rejects_list_only_distributed_sampler(self, graph):
         with ShardedSessionPool(graph, procs=1) as pool:
             with pytest.raises(TypeError, match="ShardedFrontierSampler"):
-                pool.run(DistributedFrontierSampler(4), 100, runs=1)
+                pool.run_anytime(DistributedFrontierSampler(4), [100], 1)
 
     def test_rejects_nested_sharded_sampler(self, graph):
         """A sharded sampler inside the pool would nest Pools inside
         daemonic workers; refuse up front with a pointer to procs=."""
         with ShardedSessionPool(graph, procs=1) as pool:
             with pytest.raises(TypeError, match="procs"):
-                pool.run(ShardedFrontierSampler(4), 100, runs=1)
+                pool.run_anytime(ShardedFrontierSampler(4), [100], 1)
 
     def test_rejects_bad_runs(self, graph):
         with ShardedSessionPool(graph, procs=1) as pool:
-            with pytest.raises(ValueError):
-                pool.run(SingleRandomWalk(), 100, runs=0)
+            with pytest.raises(ValueError, match="runs"):
+                pool.run_anytime(SingleRandomWalk(), [100], 0)
 
     def test_replicate_traces_procs_invariant(self, graph):
-        from repro.experiments.runner import replicate_traces
-
         sampler = SingleRandomWalk()
-        serial = replicate_traces(sampler, graph, 100, runs=3, root_seed=4)
-        fanned = replicate_traces(
-            sampler, graph, 100, runs=3, root_seed=4,
-            procs=SPAWN_PROCS, executor=EXECUTOR,
-        )
+        with ShardedSessionPool(graph, procs=1) as pool:
+            serial = one_shot_traces(pool, sampler, 100, runs=3, root_seed=4)
+        with ShardedSessionPool(
+            graph, procs=SPAWN_PROCS, executor=EXECUTOR
+        ) as pool:
+            fanned = one_shot_traces(pool, sampler, 100, runs=3, root_seed=4)
+        assert len(fanned) == 3
         for a, b in zip(serial, fanned):
             assert a.edges == b.edges
+
+
+def one_shot_traces(pool, sampler, budget, runs, root_seed):
+    """Each run's trace from a single-checkpoint ``run_anytime``."""
+    traces = []
+    for increments, _ in pool.run_anytime(
+        sampler, [budget], runs, root_seed=root_seed
+    ):
+        assert len(increments) == 1
+        traces.append(increments[0])
+    return traces
 
 
 _HYPOTHESIS_GRAPH = None
