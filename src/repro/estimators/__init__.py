@@ -16,18 +16,22 @@ Estimators for independent vertex samples (plain empirical averages)
 live alongside their RW counterparts so experiment code can treat both
 uniformly.
 
-Every ``*_from_trace`` function is backend-aware: handed an
-array-backed trace from the csr engine
-(:class:`~repro.sampling.vectorized.ArrayWalkTrace`), it runs the
-vectorized numpy implementation in
-:mod:`repro.estimators._vectorized`; handed a list-backed
-:class:`~repro.sampling.base.WalkTrace`, it runs the original
-tuple loop.  The two paths agree to ~1e-12.
+Each eq. (5)/(7)/(9) and size estimator has one implementation: a
+``Streaming*`` accumulator in :mod:`repro.estimators.streaming`.  It
+consumes trace *increments* (``session.take_trace()``), whole traces,
+and the fused blocks the csr walk kernels fill, and the batch
+``*_from_trace`` / ``estimate_*`` functions are one-increment runs of
+it — ``degree_pmf_from_trace(g, t)`` is
+``StreamingDegreePMF(g).update(t).estimate()``.  Batch, drained and
+fused estimates on the same csr steps are therefore bit-identical.
+An accumulator reduces an array-backed csr trace
+(:class:`~repro.sampling.vectorized.ArrayWalkTrace`) with numpy and a
+list-backed :class:`~repro.sampling.base.WalkTrace` with a tuple loop;
+the two agree to ~1e-12.
 
-For anytime estimation over incremental sampling sessions, the
-``Streaming*`` accumulators in :mod:`repro.estimators.streaming`
-consume trace *increments* (``session.take_trace()``) in O(chunk) and
-agree with their batch twins to ≤1e-12.
+Clustering and assortativity have no accumulator yet: they dispatch
+array traces to the numpy kernels in
+:mod:`repro.estimators._vectorized` and run a tuple loop otherwise.
 """
 
 from repro.estimators.assortativity import (

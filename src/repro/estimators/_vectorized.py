@@ -1,46 +1,43 @@
-"""Array-native estimation core — the vectorized eq. (7)/(9) path.
+"""Shared numpy helpers of the estimator layer, plus two array kernels.
 
-The public estimator functions dispatch here whenever the trace is an
-:class:`~repro.sampling.vectorized.ArrayWalkTrace`: instead of iterating
-Python ``(u, v)`` tuples and calling ``graph.degree(v)`` per step, the
-implementations below consume ``step_sources`` / ``step_targets``
-directly and reweight with numpy:
+The helpers serve every array-backed estimator path — the
+``Streaming*`` accumulators in :mod:`repro.estimators.streaming`,
+which are the one implementation of each eq. (5)/(7)/(9) and size
+estimator:
 
-- the ``1/deg`` importance weights of eq. (7) come from one fancy-index
-  into the graph's degree array;
-- histograms (degree PMFs, label densities) are ``np.bincount`` with
-  those weights;
-- edge functionals (eq. (9) instances) deduplicate the sampled edge
-  multiset first, so a Python-level function ``f(u, v)`` is evaluated
-  once per *distinct* edge and scaled by its multiplicity.
+- :func:`is_array_trace` tells a csr
+  :class:`~repro.sampling.vectorized.ArrayWalkTrace` from a list trace;
+- :func:`degrees_of` is the graph's degree array (cached per graph
+  version), the source of eq. (7)'s ``1/deg`` weights;
+- :func:`_map_unique` applies a Python callable (``degree_of``, ``g``)
+  once per *distinct* visited vertex;
+- :func:`_unique_edges` collapses the sampled edge multiset to
+  distinct edges with multiplicities, so ``f(u, v)`` and labeling
+  lookups run once per distinct edge;
+- :func:`require_steps` refuses an empty trace.
 
-Python callables that estimators accept (``degree_of``, ``g``,
-``membership``, labeling lookups) cannot be vectorized away, but they
-are only ever applied to the *unique* vertices/edges of the trace — on
-a mixing walk that is far smaller than the step count.
-
-Numerical contract: these paths compute the same sums as the tuple
-loops, only in a different association order, so results agree with the
-interpreted estimators to ~1e-12 relative (the parity goldens in
-``tests/test_estimators_vectorized.py`` pin this down).
+The clustering (Section 4.2.4) and assortativity (Section 4.2.2)
+estimators have no streaming accumulator yet, so their array kernels
+live here; :mod:`repro.estimators.clustering` and
+:mod:`repro.estimators.assortativity` dispatch to them for array
+traces and keep their tuple loops for list traces.  The two paths
+agree to ~1e-12 relative (``tests/test_estimators_vectorized.py``).
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
-from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling.vectorized import ArrayWalkTrace
 
 GraphLike = Union[Graph, CSRGraph]
-Label = Hashable
 
 
 def is_array_trace(trace) -> bool:
@@ -113,207 +110,14 @@ def _unique_edges(
     return unique // base, unique % base, counts
 
 
-def _require_steps(trace: ArrayWalkTrace) -> None:
-    if trace.step_targets.size == 0:
+def require_steps(trace) -> None:
+    """Refuse a walk trace with no steps (either backend)."""
+    if trace.num_steps == 0:
         raise ValueError("empty trace; cannot form the estimate")
 
 
 # ----------------------------------------------------------------------
-# eq. (7): 1/deg-reweighted vertex estimators
-# ----------------------------------------------------------------------
-def degree_pmf(
-    graph: GraphLike,
-    trace: ArrayWalkTrace,
-    degree_of: Optional[Callable[[int], int]] = None,
-) -> Dict[int, float]:
-    """Vectorized eq. (7): weighted-histogram degree PMF.
-
-    The *walking* degree (the visit bias) always reweights; the
-    optional ``degree_of`` only relabels what gets histogrammed —
-    see :func:`repro.estimators.degree.degree_pmf_from_trace`.
-    """
-    _require_steps(trace)
-    targets = trace.step_targets
-    walking = degrees_of(graph)[targets]
-    inv_deg = 1.0 / walking
-    if degree_of is None:
-        labels = walking
-    else:
-        labels = _map_unique(targets, degree_of, dtype=np.int64)
-    weighted = np.bincount(labels, weights=inv_deg)
-    pmf = weighted / inv_deg.sum()
-    return {k: float(pmf[k]) for k in range(pmf.size)}
-
-
-def weighted_vertex_sums(
-    graph: GraphLike,
-    trace: ArrayWalkTrace,
-    g: Callable[[int], float],
-) -> Tuple[float, float]:
-    """Raw ``(sum g(v)/deg(v), sum 1/deg(v))`` over the step targets."""
-    targets = trace.step_targets
-    inv_deg = 1.0 / degrees_of(graph)[targets]
-    values = _map_unique(targets, g)
-    return float((values * inv_deg).sum()), float(inv_deg.sum())
-
-
-def vertex_functional(
-    graph: GraphLike,
-    trace: ArrayWalkTrace,
-    g: Callable[[int], float],
-) -> float:
-    """Self-normalized importance-sampling estimate of ``mean_v g(v)``."""
-    _require_steps(trace)
-    weighted, normalizer = weighted_vertex_sums(graph, trace, g)
-    return weighted / normalizer
-
-
-def vertex_label_density(
-    graph: GraphLike,
-    trace: ArrayWalkTrace,
-    labeling: VertexLabeling,
-    label: Label,
-) -> float:
-    """Vectorized eq. (7) for one label indicator."""
-    _require_steps(trace)
-    return vertex_functional(
-        graph, trace, lambda v: 1.0 if labeling.has_label(v, label) else 0.0
-    )
-
-
-def weighted_label_sums(
-    graph: GraphLike,
-    trace: ArrayWalkTrace,
-    labeling: VertexLabeling,
-    labels: Sequence[Label],
-) -> Tuple[Dict[Label, float], float]:
-    """Raw eq. (7) label sums: ``({label: sum 1/deg}, sum 1/deg)``.
-
-    The shared kernel behind both the batch label densities and the
-    streaming accumulator: per-step weights collapse to per-vertex
-    totals once, so each label costs an O(|unique|) dot, not an
-    O(num_steps) pass.
-    """
-    targets = trace.step_targets
-    inv_deg = 1.0 / degrees_of(graph)[targets]
-    normalizer = inv_deg.sum()
-    unique, inverse = np.unique(targets, return_inverse=True)
-    per_vertex = np.bincount(inverse, weights=inv_deg)
-    label_sets = [labeling.labels_of(int(v)) for v in unique]
-    sums: Dict[Label, float] = {}
-    for label in labels:
-        indicator = np.fromiter(
-            (label in labels_of_v for labels_of_v in label_sets),
-            dtype=np.float64,
-            count=unique.size,
-        )
-        sums[label] = float((indicator * per_vertex).sum())
-    return sums, float(normalizer)
-
-
-def vertex_label_densities(
-    graph: GraphLike,
-    trace: ArrayWalkTrace,
-    labeling: VertexLabeling,
-    labels: Sequence[Label],
-) -> Dict[Label, float]:
-    """Many label densities sharing one normalizer ``S``."""
-    _require_steps(trace)
-    sums, normalizer = weighted_label_sums(graph, trace, labeling, labels)
-    return {label: sums[label] / normalizer for label in labels}
-
-
-# ----------------------------------------------------------------------
-# eq. (9)-style edge estimators (per-unique-edge evaluation)
-# ----------------------------------------------------------------------
-def edge_functional(
-    trace: ArrayWalkTrace,
-    f: Callable[[int, int], float],
-    membership: Optional[Callable[[int, int], bool]] = None,
-) -> float:
-    """``(1/B*) sum f(u_i, v_i)`` over sampled edges in ``E*``."""
-    if trace.step_targets.size == 0:
-        raise ValueError(
-            "no sampled edges fall in E*; cannot form the estimate"
-        )
-    us, vs, counts = _unique_edges(trace.step_sources, trace.step_targets)
-    pairs = list(zip(us.tolist(), vs.tolist()))
-    if membership is None:
-        mask = np.ones(us.size, dtype=bool)
-    else:
-        mask = np.fromiter(
-            (membership(u, v) for u, v in pairs),
-            dtype=bool,
-            count=us.size,
-        )
-    relevant = int(counts[mask].sum())
-    if relevant == 0:
-        raise ValueError(
-            "no sampled edges fall in E*; cannot form the estimate"
-        )
-    values = np.fromiter(
-        (f(u, v) if keep else 0.0 for (u, v), keep in zip(pairs, mask)),
-        dtype=np.float64,
-        count=us.size,
-    )
-    return float((values * counts).sum()) / relevant
-
-
-def edge_label_density(
-    trace: ArrayWalkTrace,
-    labeling: EdgeLabeling,
-    label: Label,
-) -> float:
-    """Vectorized eq. (5): label fraction over the labeled edges."""
-    hits = 0
-    relevant = 0
-    if trace.step_targets.size:
-        us, vs, counts = _unique_edges(
-            trace.step_sources, trace.step_targets
-        )
-        for u, v, count in zip(us.tolist(), vs.tolist(), counts.tolist()):
-            if not labeling.is_labeled((u, v)):
-                continue
-            relevant += count
-            if labeling.has_label((u, v), label):
-                hits += count
-    if relevant == 0:
-        raise ValueError(
-            "no sampled edge carries any label; cannot form the estimate"
-        )
-    return hits / relevant
-
-
-def edge_label_densities(
-    trace: ArrayWalkTrace,
-    labeling: EdgeLabeling,
-    labels: Sequence[Label],
-) -> Dict[Label, float]:
-    """Many edge label densities in one pass over the distinct edges."""
-    wanted = set(labels)
-    hits: Dict[Label, int] = {label: 0 for label in labels}
-    relevant = 0
-    if trace.step_targets.size:
-        us, vs, counts = _unique_edges(
-            trace.step_sources, trace.step_targets
-        )
-        for u, v, count in zip(us.tolist(), vs.tolist(), counts.tolist()):
-            edge_labels = labeling.labels_of((u, v))
-            if not edge_labels:
-                continue
-            relevant += count
-            for label in edge_labels:
-                if label in wanted:
-                    hits[label] += count
-    if relevant == 0:
-        raise ValueError(
-            "no sampled edge carries any label; cannot form the estimate"
-        )
-    return {label: hits[label] / relevant for label in labels}
-
-
-# ----------------------------------------------------------------------
-# clustering, assortativity, size
+# clustering and assortativity (no streaming accumulator yet)
 # ----------------------------------------------------------------------
 def _shared_neighbors(graph: GraphLike, u: int, v: int) -> int:
     """``|N(u) ∩ N(v)|`` on either representation."""
@@ -333,7 +137,7 @@ def global_clustering(graph: GraphLike, trace: ArrayWalkTrace) -> float:
     sampled edge; the ``1/deg`` normalizer and the pair-count weights
     are pure array arithmetic.
     """
-    _require_steps(trace)
+    require_steps(trace)
     # The i-th sample is read as (v_i, u_i) with v_i the source.
     vs, us, counts = _unique_edges(trace.step_sources, trace.step_targets)
     deg_v = degrees_of(graph)[vs]
@@ -406,19 +210,3 @@ def directed_assortativity(
         in_degrees[vs[mask]],
         counts[mask].astype(np.float64),
     )
-
-
-def collision_statistics(
-    graph: GraphLike, trace: ArrayWalkTrace
-) -> Tuple[float, float, int, int]:
-    """(Psi_1, Psi_2, collisions, B) over the visited-vertex arrays."""
-    visited = trace.step_targets
-    b = int(visited.size)
-    if b < 2:
-        raise ValueError("need at least two samples to estimate size")
-    degrees = degrees_of(graph)[visited].astype(np.float64)
-    psi_1 = float((1.0 / degrees).sum()) / b
-    psi_2 = float(degrees.sum()) / b
-    _, counts = np.unique(visited, return_counts=True)
-    collisions = int((counts * (counts - 1) // 2).sum())
-    return psi_1, psi_2, collisions, b

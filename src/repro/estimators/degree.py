@@ -9,31 +9,20 @@ a walker on the symmetric graph ``G`` visits ``v`` proportionally to
 All estimators return dense dicts over ``0 .. max_observed`` so CCDFs
 and error curves line up across methods.
 
-Array-backed traces (the csr backend's
-:class:`~repro.sampling.vectorized.ArrayWalkTrace`) dispatch to the
-numpy weighted-histogram implementation in
-:mod:`repro.estimators._vectorized`; list-backed traces keep the
-original tuple loop.  Both paths agree to ~1e-12.
+The walk-trace estimators are one-increment runs of
+:class:`~repro.estimators.streaming.StreamingDegreePMF`, so a batch
+estimate, a drained run and a fused run share one implementation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.estimators import _vectorized
+from repro.estimators._vectorized import require_steps
+from repro.estimators.streaming import DegreeOf, StreamingDegreePMF
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
-from repro.util.stats import ccdf_from_pmf
-
-DegreeOf = Callable[[int], int]
-
-
-def _dense(pmf: Dict[int, float]) -> Dict[int, float]:
-    """Zero-fill the pmf on ``0 .. max(support)``."""
-    if not pmf:
-        raise ValueError("empty pmf")
-    top = max(pmf)
-    return {k: pmf.get(k, 0.0) for k in range(top + 1)}
+from repro.util.stats import ccdf_from_pmf, dense_pmf
 
 
 def degree_pmf_from_trace(
@@ -47,19 +36,8 @@ def degree_pmf_from_trace(
     symmetric walking degree).  The reweighting always uses the
     symmetric degree — that is the visit bias, whatever the label.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.degree_pmf(graph, trace, degree_of)
-    if not trace.edges:
-        raise ValueError("empty trace; cannot form the estimate")
-    label = degree_of if degree_of is not None else graph.degree
-    weighted: Dict[int, float] = {}
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        normalizer += inv_deg
-        key = label(v)
-        weighted[key] = weighted.get(key, 0.0) + inv_deg
-    return _dense({k: w / normalizer for k, w in weighted.items()})
+    require_steps(trace)
+    return StreamingDegreePMF(graph, degree_of).update(trace).estimate()
 
 
 def degree_ccdf_from_trace(
@@ -87,7 +65,7 @@ def degree_pmf_from_vertices(
         key = degree_of(v)
         counts[key] = counts.get(key, 0.0) + 1.0
     n = len(vertices)
-    return _dense({k: c / n for k, c in counts.items()})
+    return dense_pmf({k: c / n for k, c in counts.items()})
 
 
 def degree_ccdf_from_vertices(

@@ -10,22 +10,26 @@ Everything in Section 4.2 is an instance of two templates:
   vertex average of ``g`` (importance sampling against the
   degree-biased stationary law).
 
-Array-backed traces dispatch to :mod:`repro.estimators._vectorized`,
-which evaluates ``f``/``g`` once per distinct edge/vertex and does the
-reweighting in numpy.
+Each function is a one-increment run of its accumulator,
+:class:`~repro.estimators.streaming.StreamingEdgeFunctional` or
+:class:`~repro.estimators.streaming.StreamingVertexFunctional`, so
+batch and streaming estimates share one implementation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.estimators import _vectorized
+from repro.estimators._vectorized import require_steps
+from repro.estimators.streaming import (
+    EdgeFunction,
+    EdgePredicate,
+    StreamingEdgeFunctional,
+    StreamingVertexFunctional,
+    VertexFunction,
+)
 from repro.graph.graph import Graph
 from repro.sampling.base import WalkTrace
-
-EdgeFunction = Callable[[int, int], float]
-EdgePredicate = Callable[[int, int], bool]
-VertexFunction = Callable[[int], float]
 
 
 def edge_functional_from_trace(
@@ -40,20 +44,7 @@ def edge_functional_from_trace(
     undefined with zero relevant samples (``B* = 0``), and silently
     returning 0 would bias downstream error statistics.
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.edge_functional(trace, f, membership)
-    total = 0.0
-    count = 0
-    for u, v in trace.edges:
-        if membership is not None and not membership(u, v):
-            continue
-        total += f(u, v)
-        count += 1
-    if count == 0:
-        raise ValueError(
-            "no sampled edges fall in E*; cannot form the estimate"
-        )
-    return total / count
+    return StreamingEdgeFunctional(f, membership).update(trace).estimate()
 
 
 def vertex_functional_from_trace(
@@ -68,17 +59,8 @@ def vertex_functional_from_trace(
     ``|V| / |E|`` — the paper reports ``|E|`` but on the symmetric graph
     the denominator is ``vol(V) = 2|E|``; the ratio cancels either way).
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.vertex_functional(graph, trace, g)
-    if not trace.edges:
-        raise ValueError("empty trace; cannot form the estimate")
-    weighted = 0.0
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        weighted += g(v) * inv_deg
-        normalizer += inv_deg
-    return weighted / normalizer
+    require_steps(trace)
+    return StreamingVertexFunctional(graph, g).update(trace).estimate()
 
 
 def weighted_vertex_sums(
@@ -90,12 +72,5 @@ def weighted_vertex_sums(
     normalizer across many labels and for incremental sample-path
     plots (Figures 6 and 9).
     """
-    if _vectorized.is_array_trace(trace):
-        return _vectorized.weighted_vertex_sums(graph, trace, g)
-    weighted = 0.0
-    normalizer = 0.0
-    for _, v in trace.edges:
-        inv_deg = 1.0 / graph.degree(v)
-        weighted += g(v) * inv_deg
-        normalizer += inv_deg
-    return weighted, normalizer
+    sums = StreamingVertexFunctional(graph, g).update(trace)
+    return sums._weighted, sums._normalizer

@@ -1,7 +1,8 @@
-"""Streaming estimators — accumulators over session trace increments.
+"""Streaming estimators — the one implementation of each estimator.
 
-The batch ``*_from_trace`` estimators need the whole trace in memory.
-These accumulators consume *increments* instead — the chunks a
+Every eq. (5)/(7)/(9) and graph-size estimate in this package is
+computed by an accumulator defined here.  An accumulator consumes
+trace *increments* — the chunks a
 :class:`~repro.sampling.session.SamplerSession` hands out via
 ``take_trace()`` — in O(chunk) time and O(state) memory, so estimates
 can track an anytime walk over a graph (or a trace) too large to
@@ -14,15 +15,22 @@ materialize:
         pmf.update(session.take_trace())
     estimate = pmf.estimate()
 
-Every accumulator is the running-sums decomposition of its batch twin:
-eq. (7)'s reweighted estimators keep ``(sum g(v)/deg(v), sum 1/deg(v))``,
-eq. (9)/(5)'s edge estimators keep ``(sum f, relevant count)``, and the
-size estimator keeps the collision statistics.  Array-backed increments
-(:class:`~repro.sampling.vectorized.ArrayWalkTrace`) run through the
-same numpy kernels as :mod:`repro.estimators._vectorized`; list-backed
-increments run the tuple loops.  Either way the final estimate matches
-the batch estimator on the concatenated trace to ≤1e-12 (only float
-summation association differs), which the parity tests pin down.
+The batch ``*_from_trace`` / ``estimate_*`` functions are one-increment
+runs of these accumulators (``StreamingDegreePMF(g, degree_of)
+.update(trace).estimate()``), so a batch estimate, a drained anytime
+run and a fused run share one code path per statistic.
+
+Each accumulator keeps the running-sums decomposition of its
+estimator: eq. (7)'s reweighted estimators keep
+``(sum g(v)/deg(v), sum 1/deg(v))``, eq. (9)/(5)'s edge estimators
+keep ``(sum f, relevant count)``, and the size estimator keeps the
+collision statistics.  Array-backed increments
+(:class:`~repro.sampling.vectorized.ArrayWalkTrace`) run numpy
+reductions over the step arrays, using the helpers in
+:mod:`repro.estimators._vectorized`; list-backed increments run the
+tuple loops.  The two agree to ≤1e-12 (only float summation
+association differs), which the parity tests pin down against the
+tuple loop on the same steps.
 
 Fused blocks: accumulators that need only the eq. (7)/(9) sufficient
 statistics also absorb a
@@ -32,8 +40,9 @@ fill while advancing a session — via :meth:`absorb_block`.  Such an
 accumulator advertises its block requirements through
 :meth:`fused_needs`; the array-backed drain path and the block path
 deliberately share one count-based float reduction per estimator
-(``count / degree`` summed over distinct values), so fused and drained
-runs produce **bit-identical** estimates, not merely 1e-12-close ones.
+(``count / degree`` summed over distinct values), so fused, drained
+and batch estimates on the same steps are **bit-identical**, not
+merely 1e-12-close.
 """
 
 from __future__ import annotations
@@ -44,11 +53,10 @@ from typing import Callable, Dict, Hashable, Optional, Sequence
 import numpy as np
 
 from repro.estimators import _vectorized
-from repro.estimators.degree import _dense
 from repro.graph.labels import EdgeLabeling, VertexLabeling
 from repro.sampling.base import VertexTrace, WalkTrace
 from repro.sampling.fused import FusedBlock, FusedNeeds
-from repro.util.stats import ccdf_from_pmf
+from repro.util.stats import ccdf_from_pmf, dense_pmf
 
 Label = Hashable
 DegreeOf = Callable[[int], int]
@@ -63,8 +71,7 @@ class StreamingEstimator(abc.ABC):
     ``update`` accepts both backends' walk traces and dispatches to the
     vectorized or tuple-loop path; empty increments are no-ops.
     :meth:`estimate` may be called at any time (anytime estimation) and
-    raises :class:`ValueError` while no samples have been consumed,
-    matching the batch estimators' behavior on empty traces.
+    raises :class:`ValueError` while no samples have been consumed.
     """
 
     def update(self, trace) -> "StreamingEstimator":
@@ -252,10 +259,10 @@ class StreamingDegreePMF(StreamingEstimator):
         if self._samples == 0:
             raise ValueError("no samples consumed; cannot form the estimate")
         if self._mode == "vertex":
-            return _dense(
+            return dense_pmf(
                 {k: w / self._samples for k, w in self._weighted.items()}
             )
-        return _dense(
+        return dense_pmf(
             {k: w / self._normalizer for k, w in self._weighted.items()}
         )
 
@@ -274,11 +281,12 @@ class StreamingVertexFunctional(StreamingEstimator):
         self._normalizer = 0.0
 
     def _update_array(self, trace) -> None:
-        weighted, normalizer = _vectorized.weighted_vertex_sums(
-            self.graph, trace, self.g
-        )
-        self._weighted += weighted
-        self._normalizer += normalizer
+        # g runs once per distinct visited vertex.
+        targets = trace.step_targets
+        inv_deg = 1.0 / _vectorized.degrees_of(self.graph)[targets]
+        values = _vectorized._map_unique(targets, self.g)
+        self._weighted += float((values * inv_deg).sum())
+        self._normalizer += float(inv_deg.sum())
 
     def _update_list(self, trace: WalkTrace) -> None:
         graph, g = self.graph, self.g
@@ -370,7 +378,7 @@ class StreamingVertexDensity(StreamingEstimator):
         )[vertices].astype(np.float64)
         self._normalizer += float(weights.sum())
         label_sets = [self.labeling.labels_of(int(v)) for v in vertices]
-        for label in self.labels:
+        for label in self._weighted:  # distinct labels, as the tuple loop
             indicator = np.fromiter(
                 (label in labels_of_v for labels_of_v in label_sets),
                 dtype=np.float64,
@@ -425,7 +433,8 @@ def _decode_edge_keys(block: FusedBlock):
 class StreamingEdgeDensity(StreamingEstimator):
     """Eq. (5) accumulator: label fractions over the labeled edges.
 
-    Pure integer counting, so it matches the batch estimator exactly.
+    Pure integer counting, so every chunking gives the same estimate
+    exactly.
     """
 
     def __init__(self, labeling: EdgeLabeling, labels: Sequence[Label]):
@@ -479,8 +488,7 @@ class StreamingEdgeFunctional(StreamingEstimator):
     """Eq. (9) accumulator: ``(1/B*) sum f(u, v)`` over edges in ``E*``.
 
     ``f`` and ``membership`` run once per distinct edge of each
-    array-backed increment (the batch estimator's trick, applied
-    chunk-wise).
+    array-backed increment.
     """
 
     def __init__(
@@ -539,8 +547,8 @@ class StreamingGraphSize(StreamingEstimator):
     layout), sized from the graph's degree array on the first increment
     and grown if the graph grows.  ``sum_v c_v (c_v - 1) / 2`` is kept
     as a Python int, raised exactly as counts are added, so collisions
-    *across* increments are counted as the batch estimator sees them
-    and every estimate is O(1).  A pickle stores only the nonzero
+    *across* increments are counted as one pass over the whole trace
+    sees them and every estimate is O(1).  A pickle stores only the nonzero
     ``(vertices, counts)`` pair — O(distinct visited).
     """
 
@@ -632,27 +640,28 @@ class StreamingGraphSize(StreamingEstimator):
         )
 
     def _statistics(self):
+        """``(Psi_1, Psi_2, C(B, 2))`` over everything consumed."""
         if self._samples < 2:
             raise ValueError("need at least two samples to estimate size")
-        collisions = self._collisions
-        if collisions == 0:
+        b = self._samples
+        return self._inverse_sum / b, self._degree_sum / b, b * (b - 1) / 2.0
+
+    def num_vertices(self) -> float:
+        psi_1, psi_2, pairs = self._statistics()
+        if self._collisions == 0:
             raise ValueError(
                 "no vertex collisions in the trace; increase the budget"
                 " (need B on the order of sqrt(|V|))"
             )
-        b = self._samples
-        psi_1 = self._inverse_sum / b
-        psi_2 = self._degree_sum / b
-        pairs = b * (b - 1) / 2.0
-        return psi_1, psi_2, collisions, pairs
-
-    def num_vertices(self) -> float:
-        psi_1, psi_2, collisions, pairs = self._statistics()
-        return psi_1 * psi_2 * pairs / collisions
+        return psi_1 * psi_2 * pairs / self._collisions
 
     def volume(self) -> float:
-        _, psi_2, collisions, pairs = self._statistics()
-        return psi_2 * pairs / collisions
+        _, psi_2, pairs = self._statistics()
+        if self._collisions == 0:
+            raise ValueError(
+                "no vertex collisions in the trace; increase the budget"
+            )
+        return psi_2 * pairs / self._collisions
 
     def num_edges(self) -> float:
         return self.volume() / 2.0

@@ -101,8 +101,10 @@ def _estimate(
     """Dispatch on trace type and metric to the right batch estimator.
 
     The engine path below streams increments into
-    :class:`StreamingDegreePMF` instead; this batch dispatch is kept
-    as the reference implementation the parity tests check against.
+    :class:`StreamingDegreePMF`.  The walk-trace batch estimators are
+    one-increment runs of that same accumulator, so this dispatch
+    computes what the engine computes; the parity tests use it to
+    replay the pre-engine drivers' one-trace-per-replicate loop.
     """
     if isinstance(trace, VertexTrace):
         label = degree_of if degree_of is not None else graph.degree

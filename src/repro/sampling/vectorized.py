@@ -64,7 +64,7 @@ class ArrayWalkTrace(WalkTrace):
     never pay for a million tuple allocations.  The cached lists are
     returned by reference and must be treated as read-only — mutating
     one corrupts every later read.  Internal consumers (the estimator
-    layer dispatches via :mod:`repro.estimators._vectorized`) read
+    accumulators in :mod:`repro.estimators.streaming`) read
     :attr:`step_sources` / :attr:`step_targets` directly and never
     touch the list views.
     """
@@ -285,11 +285,18 @@ def make_seeds_np(
 # step kernels (native dispatch + pure-Python mirrors)
 # ----------------------------------------------------------------------
 def _check_frontier_start(graph: GraphLike, positions: np.ndarray) -> None:
-    """Reject isolated frontier seeds, vectorized.
+    """Reject out-of-range and isolated frontier seeds, vectorized.
 
     Sessions re-enter the frontier runners once per advance, so a
     per-walker Python loop of numpy scalar reads would tax every chunk.
+    The range check runs first: numpy would wrap a negative id round
+    to the end of ``indptr``, and the C kernel would read out of bounds.
     """
+    n = graph.num_vertices
+    outside = (positions < 0) | (positions >= n)
+    if outside.any():
+        v = int(positions[int(np.argmax(outside))])
+        raise IndexError(f"vertex {v} out of range [0, {n})")
     if isinstance(graph, CSRGraph):
         start_degrees = graph.indptr[positions + 1] - graph.indptr[positions]
     else:

@@ -95,6 +95,14 @@ def normalize_counts(counts: Mapping[int, float]) -> Dict[int, float]:
     return {k: v / total for k, v in counts.items()}
 
 
+def dense_pmf(pmf: Mapping[int, float]) -> Dict[int, float]:
+    """Zero-fill a pmf on ``0 .. max(support)``."""
+    if not pmf:
+        raise ValueError("empty pmf")
+    top = max(pmf)
+    return {k: pmf.get(k, 0.0) for k in range(top + 1)}
+
+
 def empirical_pmf(values: Iterable[int]) -> Dict[int, float]:
     """Empirical probability mass function of an integer sample."""
     counts: Dict[int, float] = {}

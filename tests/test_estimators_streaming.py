@@ -1,9 +1,13 @@
-"""Streaming accumulators vs their batch twins (≤1e-12 parity).
+"""Streaming accumulators vs the tuple loop (≤1e-12 parity).
 
 Every accumulator consumes the same walk split into irregular
 increments (via ``session.take_trace()``) and must agree with the
-batch ``*_from_trace`` estimator applied to the full trace, on both
-backends.
+public ``*_from_trace`` estimator applied to the full trace, on both
+backends.  The batch functions are one-increment runs of these same
+accumulators, so a csr walk's full trace is first rewrapped as a
+list-backed :class:`~repro.sampling.base.WalkTrace` (:func:`tuple_loop`):
+the reference then runs the tuple loop, an independent code path, on
+the very same steps.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def run_streamed(graph, sampler, accumulators, rng=7):
     """Advance one session through the checkpoints, draining into
     every accumulator; returns the identical-stream full trace (from a
     twin session with the same chunk boundaries, which matters for
-    MultipleRW's shared-stream walkers)."""
+    MultipleRW's shared-stream walkers) as a list-backed trace."""
     session = sampler.start(graph, rng=rng)
     reference = sampler.start(graph, rng=rng)
     for budget in CHECKPOINTS:
@@ -93,7 +97,20 @@ def run_streamed(graph, sampler, accumulators, rng=7):
         increment = session.take_trace()
         for accumulator in accumulators:
             accumulator.update(increment)
-    return reference.trace()
+    return tuple_loop(reference.trace())
+
+
+def tuple_loop(trace):
+    """The same steps as a list-backed trace (the tuple-loop oracle)."""
+    if not isinstance(trace, ArrayWalkTrace):
+        return trace
+    return WalkTrace(
+        method=trace.method,
+        edges=list(trace.edges),
+        initial_vertices=trace.initial_vertices,
+        budget=trace.budget,
+        seed_cost=trace.seed_cost,
+    )
 
 
 SAMPLERS = [
@@ -251,6 +268,15 @@ class TestProtocol:
         accumulator.update(session.take_trace())
         accumulator.update(session.take_trace())  # drained: another noop
         assert accumulator._steps == 100
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_duplicate_labels_count_once(self, graph, vertex_labeling, backend):
+        trace = FrontierSampler(8, backend=backend).sample(graph, 500, rng=3)
+        once = StreamingVertexDensity(graph, vertex_labeling, ["even", "odd"])
+        twice = StreamingVertexDensity(
+            graph, vertex_labeling, ["even", "odd", "even"]
+        )
+        assert twice.update(trace).estimate() == once.update(trace).estimate()
 
     def test_update_returns_self_for_chaining(self, graph):
         trace = SingleRandomWalk().sample(graph, 60, rng=2)

@@ -1,10 +1,11 @@
-"""Vectorized-vs-tuple-loop estimator parity.
+"""Array-vs-tuple-loop estimator parity.
 
-Every public ``*_from_trace`` estimator dispatches to the numpy
-implementation in :mod:`repro.estimators._vectorized` when handed an
-array-backed trace.  These fixed-seed goldens pin the contract from
-ISSUE 2: on the same FS steps, the two code paths agree to 1e-12 on
-ER, BA and disconnected graphs — including the ``degree_of``
+Every public ``*_from_trace`` estimator reduces an array-backed trace
+with numpy — through its ``Streaming*`` accumulator, or through the
+clustering/assortativity kernels in :mod:`repro.estimators._vectorized`
+— and a list-backed trace with a tuple loop.  These fixed-seed goldens
+pin the contract: on the same FS steps, the two code paths agree to
+1e-12 on ER, BA and disconnected graphs — including the ``degree_of``
 label-vs-walking-degree decoupling.
 
 The tuple-loop reference is the *same* steps wrapped in a plain
@@ -285,7 +286,7 @@ class TestCharacteristicParity:
 
 class TestMetropolisTraceParity:
     def test_accepted_edge_estimators_agree(self):
-        """ArrayMetropolisTrace rides the same dispatch path."""
+        """ArrayMetropolisTrace rides the same array path."""
         graph = barabasi_albert(150, 3, rng=9)
         array_trace = MetropolisHastingsWalk(backend="csr").sample(
             graph, 2_000, rng=11

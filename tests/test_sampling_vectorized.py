@@ -383,3 +383,49 @@ class TestEstimatorCompatibility:
             FrontierSampler(8, backend="csr").sample(graph, 6000, rng=21)
         )
         assert csr_est == pytest.approx(list_est, rel=0.15)
+
+
+class TestFrontierIdRange:
+    """A frontier id outside ``[0, n)`` is refused before any kernel.
+
+    numpy wraps a negative index round to the end of ``indptr``, so an
+    unchecked ``-1`` (say, from a tampered checkpoint) would reach the
+    C kernel and read out of bounds.  Spies stand in for the native
+    kernels and the pure-Python kernel's accessors: none may run.
+    """
+
+    NUM_VERTICES = 50
+
+    @staticmethod
+    def _forbid_kernels(monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("an FS kernel ran with an out-of-range id")
+
+        monkeypatch.setattr(_native, "fs_steps", reached)
+        monkeypatch.setattr(_native, "fs_steps_acc", reached)
+        monkeypatch.setattr(vec, "_accessors", reached)
+
+    @pytest.mark.parametrize("kernel", ["native", "fallback"])
+    @pytest.mark.parametrize("mode", ["advance", "advance_into"])
+    @pytest.mark.parametrize("offset", ["-1", "-n", "n", "1e8"])
+    def test_out_of_range_id_raises_index_error(
+        self, monkeypatch, kernel, mode, offset
+    ):
+        from repro.estimators.streaming import StreamingDegreePMF
+
+        if kernel == "native" and not NATIVE:
+            pytest.skip("native kernels unavailable on this host")
+        if kernel == "fallback":
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        n = self.NUM_VERTICES
+        bad = {"-1": -1, "-n": -n, "n": n, "1e8": 10**8}[offset]
+        csr = get_csr(barabasi_albert(n, 2, rng=4))
+        session = FrontierSampler(4, backend="csr").start(csr, rng=9)
+        session.advance(5)  # the walk runs before the tampering
+        session.frontier[0] = bad
+        self._forbid_kernels(monkeypatch)
+        with pytest.raises(IndexError, match=rf"vertex {bad} out of range \[0, {n}\)"):
+            if mode == "advance":
+                session.advance(10)
+            else:
+                session.advance_into(StreamingDegreePMF(csr), steps=10)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.util.stats import (
     OnlineMoments,
     ccdf_from_pmf,
+    dense_pmf,
     empirical_pmf,
     histogram,
     mean_of_pmf,
@@ -106,6 +107,15 @@ class TestDistributions:
     def test_ccdf_empty_rejected(self):
         with pytest.raises(ValueError):
             ccdf_from_pmf({})
+
+    def test_dense_pmf_zero_fills_from_zero(self):
+        assert dense_pmf({3: 0.25, 1: 0.75}) == {
+            0: 0.0, 1: 0.75, 2: 0.0, 3: 0.25
+        }
+
+    def test_dense_pmf_empty_rejected(self):
+        with pytest.raises(ValueError):
+            dense_pmf({})
 
     def test_total_variation(self):
         p = {0: 0.5, 1: 0.5}
